@@ -126,15 +126,15 @@ def test_engine_speedups(name, source, inputs, gates):
     compiled = compile_source(source, CompilerOptions())
 
     started = time.perf_counter()
-    slow = simulate(compiled, inputs, fast_path=False)
+    slow = simulate(compiled, inputs, tier="interpreted")
     interpreted_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    fast = simulate(compiled, inputs, fast_path=True, slab_path=False)
+    fast = simulate(compiled, inputs, tier="lowered")
     lowered_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
+    slab = simulate(compiled, inputs, tier="slab")
     slab_s = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -146,7 +146,7 @@ def test_engine_speedups(name, source, inputs, gates):
     # run costs — the obs hooks are one attribute load and one branch.
     started = time.perf_counter()
     traced = simulate(
-        compiled, inputs, fast_path=True, slab_path=True,
+        compiled, inputs, tier="slab",
         tracer=Tracer(enabled=False),
     )
     slab_traced_s = time.perf_counter() - started
@@ -270,9 +270,9 @@ def test_identity_under_every_ablation(pname, source, inputs, vname, options):
     mapping-strategy and optimization ablation, across all three
     execution engines."""
     compiled = compile_source(source, options)
-    slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-    fast = simulate(compiled, inputs, fast_path=True, slab_path=False)
-    slow = simulate(compiled, inputs, fast_path=False)
+    slab = simulate(compiled, inputs, tier="slab")
+    fast = simulate(compiled, inputs, tier="lowered")
+    slow = simulate(compiled, inputs, tier="interpreted")
     assert_identical(fast, slow)
     assert_identical(slab, slow)
 
@@ -291,15 +291,15 @@ def test_identity_on_fuzz_corpus(path):
     programs plus every minimized divergence class a campaign has
     found) hold bit-for-bit identity across all four engine modes —
     the same gate the paper programs get, on shapes they never hit."""
-    from repro.fuzz.harness import make_inputs
+    from repro.ir.build import make_inputs, parse_and_build
 
     source = path.read_text()
     for procs in (3, 4):
         compiled = compile_source(source, CompilerOptions(num_procs=procs))
-        inputs = make_inputs(source, 0)
-        slow = simulate(compiled, dict(inputs), fast_path=False)
-        fast = simulate(compiled, dict(inputs), fast_path=True, slab_path=False)
-        slab = simulate(compiled, dict(inputs), fast_path=True, slab_path=True)
+        inputs = make_inputs(parse_and_build(source), 0)
+        slow = simulate(compiled, dict(inputs), tier="interpreted")
+        fast = simulate(compiled, dict(inputs), tier="lowered")
+        slab = simulate(compiled, dict(inputs), tier="slab")
         auto = simulate(compiled, dict(inputs), tier="auto")
         assert_identical(fast, slow)
         assert_identical(slab, slow)

@@ -237,8 +237,7 @@ class Session:
         *,
         seed: int = 0,
         validate: bool = True,
-        trace_capacity: int = 0,
-        tier: str | None = "auto",
+        tier: str = "auto",
         **overrides: Any,
     ) -> RunResult:
         """Execute ``source`` on the simulated machine with
@@ -247,31 +246,25 @@ class Session:
         ``validate=False``.  ``tier`` selects the execution engine:
         ``"auto"`` (default) consults the compiled :class:`TierPlan`
         per nest, ``"interpreted"``/``"lowered"``/``"slab"`` force a
-        single tier, and ``None`` keeps the simulator's legacy
-        blanket behaviour."""
+        single tier."""
         import numpy as np
 
         from .codegen.seq import run_sequential
-        from .ir.build import parse_and_build
+        from .ir.build import make_inputs, parse_and_build
         from .machine.simulator import simulate
 
         compiled = self.compile(source, **overrides)
         cache_hit = self.last_cache_hit
 
-        rng = np.random.default_rng(seed)
         # A fresh, untransformed procedure feeds the sequential
-        # reference run; its symbol order fixes the rng draws.
+        # reference run and the input draws.
         proc = parse_and_build(source)
-        inputs = {}
-        for symbol in proc.symbols.arrays():
-            shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-            inputs[symbol.name] = rng.uniform(0.5, 1.5, shape)
+        inputs = make_inputs(proc, seed)
 
         sequential = run_sequential(proc, inputs) if validate else None
         sim = simulate(
             compiled,
             inputs,
-            trace_capacity=trace_capacity,
             tracer=self.tracer,
             metrics=self.metrics,
             tier=tier,

@@ -4,7 +4,7 @@ Usage (also via ``python -m repro``)::
 
     repro compile PROGRAM.hpf [--procs 16] [--strategy selected] [--spmd]
     repro estimate PROGRAM.hpf [--procs 1 2 4 8 16] [...]
-    repro run PROGRAM.hpf [--procs 4] [--seed 0] [--trace out.json]
+    repro run PROGRAM.hpf [--procs 4] [--seed 0] [--trace OUT.json]
               [--tier auto|interpreted|lowered|slab]
               [--metrics] [--json out.json]
     repro sweep PROGRAM.hpf [--procs 2 4] [--axis FIELD=V1,V2]
@@ -27,14 +27,13 @@ artifact catalog under ``--service-dir``): submit an experiment grid
 once, run any number of ``repro serve`` workers against it, watch it
 finish, and query what was measured.
 
-Flag conventions (old spellings stay as hidden aliases):
+Flag conventions:
 
 * ``--json [OUT]`` — machine-readable output everywhere: bare
   ``--json`` prints to stdout, ``--json OUT`` writes the file.
 * ``--measure`` — *what* each sweep point measures
-  (estimate/simulate/compile; was ``--sweep-mode``).
-* ``--exec`` — *how* the grid executes (auto/pool/batched; was
-  ``--mode``).
+  (estimate/simulate/compile).
+* ``--exec`` — *how* the grid executes (auto/pool/batched).
 
 Every subcommand is a thin shell over :class:`repro.api.Session` —
 the CLI parses flags into session configuration and formats what the
@@ -271,13 +270,15 @@ def cmd_estimate(args) -> int:
     return 1 if failed else 0
 
 
-def _trace_arg(value: str):
-    """``--trace N`` keeps the legacy ring-buffer dump; ``--trace
-    OUT.json`` writes a Chrome trace_event file instead."""
-    try:
-        return int(value)
-    except ValueError:
-        return value
+def _trace_path(value: str) -> str:
+    """``--trace OUT.json``; a bare integer would silently become the
+    output file's name, so it is rejected."""
+    if value.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a trace file; use --trace OUT.json to write "
+            "a Chrome trace_event file"
+        )
+    return value
 
 
 def cmd_run(args) -> int:
@@ -287,9 +288,7 @@ def cmd_run(args) -> int:
 
     source = _read_source(args.program)
 
-    trace_arg = getattr(args, "trace", 0)
-    ring_capacity = trace_arg if isinstance(trace_arg, int) else 0
-    trace_path = trace_arg if isinstance(trace_arg, str) else None
+    trace_path = getattr(args, "trace", None)
     want_metrics = bool(
         getattr(args, "metrics", False) or getattr(args, "metrics_json", None)
     )
@@ -300,10 +299,7 @@ def cmd_run(args) -> int:
         args, num_procs=args.procs, tracer=tracer, metrics=metrics
     )
     result = session.run(
-        source,
-        seed=args.seed,
-        trace_capacity=ring_capacity,
-        tier=getattr(args, "tier", "auto"),
+        source, seed=args.seed, tier=getattr(args, "tier", "auto")
     )
 
     for name, match in result.matches.items():
@@ -314,10 +310,6 @@ def cmd_run(args) -> int:
         f"{result.messages} messages, {result.fetches} fetches "
         f"({result.unexpected_fetches} unexpected)"
     )
-    if ring_capacity:
-        print()
-        print("trace:")
-        print(result.sim.trace.render())
     if tracer is not None:
         tracer.write(trace_path)
         print(f"wrote {len(tracer)} trace event(s) to {trace_path}")
@@ -545,20 +537,12 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
         default="simulate", dest="measure",
         help="what each grid point measures (default: simulate)",
     )
-    parser.add_argument(  # old spelling of --measure
-        "--sweep-mode", choices=["estimate", "simulate", "compile"],
-        dest="measure", default=argparse.SUPPRESS, help=argparse.SUPPRESS,
-    )
     parser.add_argument(
         "--exec", choices=["auto", "pool", "batched"], default="auto",
         dest="exec_mode",
         help="execution strategy: batched fuses points differing only "
         "in machine parameters or processor count into one vectorized "
         "evaluation (default: auto)",
-    )
-    parser.add_argument(  # old spelling of --exec
-        "--mode", choices=["auto", "pool", "batched"], dest="exec_mode",
-        default=argparse.SUPPRESS, help=argparse.SUPPRESS,
     )
     parser.add_argument("--seed", type=int, default=0)
     _add_json_flag(
@@ -790,9 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compiled TierPlan; the others force one tier everywhere",
     )
     p_run.add_argument(
-        "--trace", type=_trace_arg, default=0, metavar="N|OUT.json",
-        help="an integer prints the first N runtime communication "
-        "events; a path writes a Chrome trace_event JSON file",
+        "--trace", type=_trace_path, default=None, metavar="OUT.json",
+        help="write a Chrome trace_event JSON file of the run",
     )
     p_run.add_argument(
         "--metrics", action="store_true",

@@ -31,15 +31,11 @@ import traceback
 from dataclasses import dataclass
 
 from ..core.driver import CompilerOptions, compile_source
+from ..ir.build import make_inputs, parse_and_build
 from ..model import SP2
 
-#: forced-tier simulate() kwargs, plus the TierPlan-driven auto mode
-TIER_KWARGS = {
-    "interpreted": dict(fast_path=False),
-    "lowered": dict(fast_path=True, slab_path=False),
-    "slab": dict(fast_path=True, slab_path=True),
-    "auto": dict(tier="auto"),
-}
+#: the forced tiers, plus the TierPlan-driven auto mode
+TIERS = ("interpreted", "lowered", "slab", "auto")
 
 #: the small machine grid of the sweep differential
 SWEEP_MACHINES = (
@@ -69,23 +65,6 @@ class Divergence:
 # ---------------------------------------------------------------------------
 # Inputs and payloads
 # ---------------------------------------------------------------------------
-
-
-def make_inputs(source: str, seed: int) -> dict:
-    """Deterministic random inputs, drawn in the *untransformed*
-    procedure's symbol order exactly like ``Session.run`` (so the
-    sequential reference and every tier see one dataset)."""
-    import numpy as np
-
-    from ..ir.build import parse_and_build
-
-    proc = parse_and_build(source)
-    rng = np.random.default_rng(seed)
-    inputs = {}
-    for symbol in proc.symbols.arrays():
-        shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-        inputs[symbol.name] = rng.uniform(0.5, 1.5, shape)
-    return inputs
 
 
 def tier_payload(sim) -> dict:
@@ -173,19 +152,19 @@ def check_tiers(
             ],
             None,
         )
-    inputs = make_inputs(source, seed)
+    inputs = make_inputs(parse_and_build(source), seed)
 
     payloads: dict[str, dict] = {}
     errors: dict[str, str] = {}
-    for tier, kwargs in TIER_KWARGS.items():
+    for tier in TIERS:
         try:
-            sim = simulate(compiled, dict(inputs), **kwargs)
+            sim = simulate(compiled, dict(inputs), tier=tier)
             payloads[tier] = tier_payload(sim)
         except Exception as exc:  # noqa: BLE001 — compared below
             errors[tier] = _trim(exc)
 
     divergences: list[Divergence] = []
-    if errors and len(errors) == len(TIER_KWARGS):
+    if errors and len(errors) == len(TIERS):
         # every engine rejects it identically: the program is invalid
         kinds = set(errors.values())
         kind = "invalid" if len(kinds) == 1 else "tier-error-mismatch"
@@ -279,14 +258,14 @@ def check_sequential(
     import numpy as np
 
     from ..codegen.seq import run_sequential
-    from ..ir.build import parse_and_build
     from ..machine.simulator import simulate
 
     try:
         compiled = compile_source(source, CompilerOptions(num_procs=procs))
-        inputs = make_inputs(source, seed)
+        proc = parse_and_build(source)
+        inputs = make_inputs(proc, seed)
         sim = simulate(compiled, dict(inputs), tier="auto")
-        sequential = run_sequential(parse_and_build(source), inputs)
+        sequential = run_sequential(proc, inputs)
     except Exception as exc:  # noqa: BLE001 — tier lens already reported
         return [
             Divergence(
@@ -328,7 +307,10 @@ def check_mapping(
                 source,
                 CompilerOptions(num_procs=procs, strategy=strategy),
             )
-            sim = simulate(compiled, make_inputs(source, seed), tier="auto")
+            sim = simulate(
+                compiled, make_inputs(parse_and_build(source), seed),
+                tier="auto",
+            )
         except Exception as exc:  # noqa: BLE001
             return [
                 Divergence(

@@ -75,19 +75,14 @@ class FuzzReport:
 def _slab_ran(program: FuzzProgram, procs: int = 3, seed: int = 0) -> bool:
     """Did the slab tier actually take over a nest of this program?"""
     from ..core.driver import CompilerOptions, compile_source
+    from ..ir.build import make_inputs, parse_and_build
     from ..machine.simulator import simulate
 
     try:
-        compiled = compile_source(
-            program.emit(procs), CompilerOptions(num_procs=procs)
-        )
-        from .harness import make_inputs
-
+        source = program.emit(procs)
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
         sim = simulate(
-            compiled,
-            make_inputs(program.emit(procs), seed),
-            fast_path=True,
-            slab_path=True,
+            compiled, make_inputs(parse_and_build(source), seed), tier="slab"
         )
     except Exception:  # noqa: BLE001 — coverage stat only
         return False

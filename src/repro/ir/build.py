@@ -444,3 +444,19 @@ def parse_and_build(source: str) -> Procedure:
     from ..lang import parse_program
 
     return build_procedure(parse_program(source))
+
+
+def make_inputs(proc: Procedure, seed: int) -> dict:
+    """Deterministic random inputs: one ``uniform(0.5, 1.5)`` array per
+    declared array of ``proc``, drawn in symbol order from
+    ``default_rng(seed)``.  Every caller that runs a program on seeded
+    data (``Session.run``, sweeps, the fuzzer, calibration) draws here,
+    so they all see one dataset."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    inputs = {}
+    for symbol in proc.symbols.arrays():
+        shape = tuple(symbol.extent(d) for d in range(symbol.rank))
+        inputs[symbol.name] = rng.uniform(0.5, 1.5, shape)
+    return inputs

@@ -29,8 +29,8 @@ Lowered closures are cached per ``(proc.uid, proc.ir_epoch)``: any
 ``finalize()`` after an IR transform bumps the epoch and invalidates
 the cache entry. Statements the lowerer cannot handle simply stay
 interpreted — the fast path falls back per statement, never changing
-semantics. ``SPMDSimulator(..., fast_path=False)`` bypasses the module
-entirely; the parity tests use that escape hatch to assert bit-for-bit
+semantics. ``SPMDSimulator(..., tier="interpreted")`` bypasses the
+module entirely; the parity tests use that tier to assert bit-for-bit
 identity of results, clocks, and traffic statistics.
 """
 
@@ -931,10 +931,6 @@ class FetchEngine:
                     event=-1 if event is None else event.ordinal,
                 )
         sim.stats.record_fetch((sid, rid) if event is not None else None, 1)
-        if sim.trace.enabled:
-            sim.trace.record(
-                "fetch", f"{name}{index} for S{sid}", src=src, dst=rank
-            )
         return value
 
     def _remember(self, key, st):
@@ -1193,7 +1189,7 @@ class FastHooks(ExecutionHooks):
 
     def run_loop(self, stmt, low, high, step, env) -> bool:
         sim = self.sim
-        if not sim.slab_path or sim.trace.enabled:
+        if sim.tier == "lowered":
             return False
         slab = self.fast.slab
         if slab is None:

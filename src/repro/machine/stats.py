@@ -118,51 +118,6 @@ class TrafficStats:
         }
 
 
-@dataclass
-class TraceRecord:
-    """One traced runtime event."""
-
-    kind: str  # "fetch" | "reduce" | "exec"
-    detail: str
-    src: int | None = None
-    dst: int | None = None
-
-    def __str__(self) -> str:
-        route = ""
-        if self.src is not None and self.dst is not None:
-            route = f" [{self.src}->{self.dst}]"
-        elif self.dst is not None:
-            route = f" [@{self.dst}]"
-        return f"{self.kind:6s}{route} {self.detail}"
-
-
-class Trace:
-    """Bounded ring of runtime events (off unless a capacity is set)."""
-
-    def __init__(self, capacity: int = 0):
-        self.capacity = capacity
-        self.records: list[TraceRecord] = []
-        self.dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity > 0
-
-    def record(self, kind: str, detail: str, src: int | None = None, dst: int | None = None) -> None:
-        if not self.enabled:
-            return
-        if len(self.records) >= self.capacity:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(kind=kind, detail=detail, src=src, dst=dst))
-
-    def render(self) -> str:
-        lines = [str(r) for r in self.records]
-        if self.dropped:
-            lines.append(f"... {self.dropped} further event(s) not recorded")
-        return "\n".join(lines) if lines else "no traced events"
-
-
 class Clocks:
     """Per-rank virtual time, advanced by compute and message events."""
 

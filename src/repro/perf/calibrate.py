@@ -225,6 +225,7 @@ def calibrate(
     import numpy as np
 
     from ..core.driver import CompilerOptions, compile_source
+    from ..ir.build import make_inputs
     from ..machine.simulator import simulate
     from .estimator import PerfEstimator
 
@@ -237,13 +238,7 @@ def calibrate(
     for stmts, entries, n in configs:
         source = nest_source(stmts, entries, n)
         compiled = compile_source(source, CompilerOptions(num_procs=1))
-        rng = np.random.default_rng(0)
-        inputs = {
-            symbol.name: rng.uniform(
-                0.5, 1.5, tuple(symbol.extent(d) for d in range(symbol.rank))
-            )
-            for symbol in compiled.proc.symbols.arrays()
-        }
+        inputs = make_inputs(compiled.proc, 0)
         timings = {}
         for tier in ("lowered", "slab"):
             best = float("inf")

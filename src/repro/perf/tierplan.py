@@ -105,7 +105,7 @@ def build_tierplan(proc, slabs, estimator) -> TierPlan:
         except Exception as exc:  # never fail the compile over a prediction
             plan.decisions[sid] = NestDecision(
                 loop_id=sid,
-                choice="slab",  # eligible and unpriceable: keep legacy
+                choice="slab",  # eligible and unpriceable: as tier="slab"
                 reason=f"estimate failed: {exc}",
             )
             continue

@@ -225,18 +225,12 @@ def _simulate_lanes(batch: Batch, compiled: CompiledProgram):
     """One lane-vector simulation of a procs sub-group: every machine
     lane charged in a single tier="auto" run.  Returns the sim; payload
     extraction happens at the batch level (fused across sub-groups)."""
-    import numpy as np
-
+    from ..ir.build import make_inputs
     from ..machine.batchexec import VectorMachine
     from ..machine.simulator import simulate
 
-    job = batch.jobs[0]
     machine = VectorMachine([j.options.machine for j in batch.jobs])
-    rng = np.random.default_rng(job.seed)
-    inputs = {}
-    for symbol in compiled.proc.symbols.arrays():
-        shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-        inputs[symbol.name] = rng.uniform(0.5, 1.5, shape)
+    inputs = make_inputs(compiled.proc, batch.jobs[0].seed)
     return simulate(compiled, inputs, machine=machine, tier="auto")
 
 

@@ -73,15 +73,10 @@ def _measure_payload(job: SweepJob, compiled) -> dict:
             comm_time=estimate.comm_time,
         )
     elif job.mode == "simulate":
-        import numpy as np
-
+        from ..ir.build import make_inputs
         from ..machine.simulator import simulate
 
-        rng = np.random.default_rng(job.seed)
-        inputs = {}
-        for symbol in compiled.proc.symbols.arrays():
-            shape = tuple(symbol.extent(d) for d in range(symbol.rank))
-            inputs[symbol.name] = rng.uniform(0.5, 1.5, shape)
+        inputs = make_inputs(compiled.proc, job.seed)
         # tier="auto" matches Session.run and the batched fast path
         # (which the parity suite byte-compares against this payload)
         sim = simulate(compiled, inputs, tier="auto")

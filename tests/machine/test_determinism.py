@@ -18,11 +18,7 @@ from repro.machine import simulate
 from repro.machine.simulator import SPMDSimulator
 from repro.programs import tomcatv_inputs, tomcatv_source
 
-TIERS = {
-    "interpreted": dict(fast_path=False),
-    "lowered": dict(fast_path=True, slab_path=False),
-    "slab": dict(fast_path=True, slab_path=True),
-}
+TIERS = ("interpreted", "lowered", "slab")
 
 
 def _observables(sim: SPMDSimulator):
@@ -75,21 +71,21 @@ class TestOrdinals:
 
 
 class TestDeterministicCharging:
-    @pytest.mark.parametrize("tier", TIERS, ids=list(TIERS))
+    @pytest.mark.parametrize("tier", TIERS)
     def test_same_program_twice_charges_identically(
         self, compiled, inputs, tier
     ):
-        first = simulate(compiled, inputs, **TIERS[tier])
-        second = simulate(compiled, inputs, **TIERS[tier])
+        first = simulate(compiled, inputs, tier=tier)
+        second = simulate(compiled, inputs, tier=tier)
         assert _observables(first) == _observables(second)
 
-    @pytest.mark.parametrize("tier", TIERS, ids=list(TIERS))
+    @pytest.mark.parametrize("tier", TIERS)
     def test_pickle_round_trip_charges_identically(
         self, compiled, inputs, tier
     ):
         clone = pickle.loads(pickle.dumps(compiled))
-        original = simulate(compiled, inputs, **TIERS[tier])
-        round_tripped = simulate(clone, inputs, **TIERS[tier])
+        original = simulate(compiled, inputs, tier=tier)
+        round_tripped = simulate(clone, inputs, tier=tier)
         assert _observables(original) == _observables(round_tripped)
 
     def test_unassigned_ordinals_are_normalized(self, compiled, inputs):
@@ -165,7 +161,7 @@ class TestErrorTransparency:
             lowering._LOWERED_CACHE.clear()
         compiled_fresh.lowering = lowered
         with pytest.raises(NameError):
-            simulate(compiled_fresh, inputs, fast_path=True, slab_path=False)
+            simulate(compiled_fresh, inputs, tier="lowered")
 
     def test_injected_nameerror_propagates_from_slab_prepare(
         self, compiled, inputs, monkeypatch
@@ -178,7 +174,7 @@ class TestErrorTransparency:
         monkeypatch.setattr(slabexec.InnerPlan, "prepare", exploding_prepare)
         monkeypatch.setattr(slabexec.ColumnPlan, "prepare", exploding_prepare)
         with pytest.raises(NameError):
-            simulate(compiled, inputs, fast_path=True, slab_path=True)
+            simulate(compiled, inputs, tier="slab")
 
     def test_numeric_fold_errors_still_fall_back(self):
         """Constant division by zero keeps the interpreter's runtime
@@ -232,7 +228,7 @@ class TestNarrowedSlabGuards:
             monkeypatch, NameError("injected bug in bound lowering")
         )
         with pytest.raises(NameError):
-            simulate(compiled, inputs, fast_path=True, slab_path=True)
+            simulate(compiled, inputs, tier="slab")
 
     def test_interpreter_error_in_inner_bound_eval_bails(
         self, compiled, inputs, monkeypatch
@@ -245,10 +241,10 @@ class TestNarrowedSlabGuards:
         )
         metrics = Metrics()
         sim = simulate(
-            compiled, inputs, fast_path=True, slab_path=True,
+            compiled, inputs, tier="slab",
             metrics=metrics,
         )
-        reference = simulate(compiled, inputs, fast_path=False)
+        reference = simulate(compiled, inputs, tier="interpreted")
         assert _observables(sim) == _observables(reference)
         assert metrics.counters[
             "slab.bail[inner bounds not evaluable]"
@@ -276,7 +272,7 @@ class TestNarrowedSlabGuards:
             monkeypatch, TypeError("injected bug in owner lookup")
         )
         with pytest.raises(TypeError):
-            simulate(compiled, inputs, fast_path=True, slab_path=True)
+            simulate(compiled, inputs, tier="slab")
 
     def test_mapping_error_in_owner_lookup_bails(
         self, compiled, inputs, monkeypatch
@@ -289,9 +285,9 @@ class TestNarrowedSlabGuards:
         )
         metrics = Metrics()
         sim = simulate(
-            compiled, inputs, fast_path=True, slab_path=True,
+            compiled, inputs, tier="slab",
             metrics=metrics,
         )
-        reference = simulate(compiled, inputs, fast_path=False)
+        reference = simulate(compiled, inputs, tier="interpreted")
         assert _observables(sim) == _observables(reference)
         assert metrics.counters["slab.bail[owner lookup failed]"] >= 1

@@ -139,52 +139,20 @@ class TestTrafficStats:
 
 
 class TestTrace:
-    def test_disabled_by_default(self):
-        from repro.machine.stats import Trace
-
-        trace = Trace()
-        trace.record("fetch", "x")
-        assert not trace.enabled
-        assert trace.render() == "no traced events"
-
-    def test_capacity_bound(self):
-        from repro.machine.stats import Trace
-
-        trace = Trace(capacity=2)
-        for k in range(5):
-            trace.record("fetch", f"e{k}", src=0, dst=1)
-        assert len(trace.records) == 2
-        assert trace.dropped == 3
-        assert "3 further event(s)" in trace.render()
-
-    def test_simulator_records_fetches(self):
-        import numpy as np
-
-        from repro.core import CompilerOptions, compile_source
-        from repro.machine import simulate
-
-        src = (
-            "PROGRAM T\n  PARAMETER (n = 16)\n  REAL A(n), B(n)\n"
-            "!HPF$ ALIGN B(i) WITH A(i)\n"
-            "!HPF$ DISTRIBUTE (BLOCK) :: A\n"
-            "  DO i = 2, n\n    A(i) = B(i - 1)\n  END DO\nEND PROGRAM\n"
-        )
-        compiled = compile_source(src, CompilerOptions(num_procs=4))
-        sim = simulate(
-            compiled, {"B": np.arange(16, dtype=float)}, trace_capacity=16
-        )
-        text = sim.trace.render()
-        assert "fetch" in text and "B(" in text
-
     def test_simulator_records_reduces(self):
-        import numpy as np
-
         from repro.core import CompilerOptions, compile_source
         from repro.machine import simulate
+        from repro.obs import Tracer
         from repro.programs import tomcatv_inputs, tomcatv_source
 
         compiled = compile_source(
             tomcatv_source(n=8, niter=1, procs=4), CompilerOptions()
         )
-        sim = simulate(compiled, tomcatv_inputs(8), trace_capacity=400)
-        assert "reduce" in sim.trace.render()
+        tracer = Tracer()
+        simulate(compiled, tomcatv_inputs(8), tracer=tracer)
+        reduces = [
+            e for e in tracer.to_chrome()["traceEvents"]
+            if e["name"] == "reduce"
+        ]
+        assert reduces
+        assert all(e["cat"] == "comm" and e["ph"] == "i" for e in reduces)

@@ -66,6 +66,12 @@ class TestMemoryDiscipline:
         with pytest.raises(SimulationError):
             sim.gather_scalar("q")
 
+    @pytest.mark.parametrize("tier", [None, "fast", "lowered+slab"])
+    def test_unknown_tier_rejected(self, tier):
+        compiled = compile_body("  A(1) = 1.0")
+        with pytest.raises(ValueError, match=r"auto\|slab\|lowered\|interpreted"):
+            simulate(compiled, tier=tier)
+
 
 class TestClocks:
     def test_elapsed_positive_after_work(self):

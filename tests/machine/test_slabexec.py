@@ -58,8 +58,8 @@ class TestRuntime:
     def test_tomcatv_coverage_and_parity(self):
         compiled = _compile_tomcatv()
         inputs = tomcatv_inputs(12)
-        slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-        walker = simulate(compiled, inputs, fast_path=False)
+        slab = simulate(compiled, inputs, tier="slab")
+        walker = simulate(compiled, inputs, tier="interpreted")
         assert slab.slab_instances > 0
         assert slab.slab_coverage > 0.9
         assert slab.clocks.snapshot() == walker.clocks.snapshot()
@@ -69,10 +69,10 @@ class TestRuntime:
                 slab.gather(name).tobytes() == walker.gather(name).tobytes()
             )
 
-    def test_slab_path_off_executes_nothing_in_tier3(self):
+    def test_lowered_tier_executes_nothing_in_tier3(self):
         compiled = _compile_tomcatv()
         sim = simulate(
-            compiled, tomcatv_inputs(12), fast_path=True, slab_path=False
+            compiled, tomcatv_inputs(12), tier="lowered"
         )
         assert sim.slab_instances == 0
 
@@ -80,7 +80,7 @@ class TestRuntime:
         compiled = _compile_tomcatv()
         compiled.slabs = None  # e.g. compiled artifact from an old cache
         sim = simulate(
-            compiled, tomcatv_inputs(12), fast_path=True, slab_path=True
+            compiled, tomcatv_inputs(12), tier="slab"
         )
         assert sim.slab_instances > 0
 
@@ -101,8 +101,8 @@ class TestRuntime:
         rng = np.random.default_rng(3)
         inputs = {nm: rng.uniform(1, 2, (n, n)) for nm in "AB"}
         compiled = compile_source(source, CompilerOptions(num_procs=4))
-        slab = simulate(compiled, inputs, fast_path=True, slab_path=True)
-        walker = simulate(compiled, inputs, fast_path=False)
+        slab = simulate(compiled, inputs, tier="slab")
+        walker = simulate(compiled, inputs, tier="interpreted")
         assert slab.slab_instances > 0
         assert slab.stats.messages > 0  # ghost columns really moved
         assert slab.clocks.snapshot() == walker.clocks.snapshot()

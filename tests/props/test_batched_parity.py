@@ -6,8 +6,9 @@ tier decisions — so a lane-vector simulation over N machine variants
 must reproduce each variant's dedicated scalar run exactly.  These
 tests byte-compare (canonical JSON) the batched sweep's per-lane
 records against per-point ``tier="auto"`` simulations for the three
-paper kernels over a ≥7-point grid each, and a hypothesis property
-hammers the lane arithmetic with randomized machine parameters."""
+paper kernels over a ≥7-point grid each, and hypothesis properties
+hammer the lane arithmetic (whole runs, and every pricing method lane
+for lane) with randomized machine parameters."""
 
 import dataclasses
 import json
@@ -18,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import CompilerOptions, compile_source
+from repro.core.locality import TransferPattern
+from repro.ir.build import make_inputs
 from repro.machine.batchexec import VectorMachine
 from repro.machine.simulator import simulate
 from repro.model import SP2, MachineModel
@@ -49,11 +52,7 @@ def _reference_stats(source: str, options: CompilerOptions, seed: int):
     """What one dedicated scalar grid point produces: fresh compile,
     deterministic inputs, tier="auto" simulation."""
     compiled = compile_source(source, options)
-    rng = np.random.default_rng(seed)
-    inputs = {
-        s.name: rng.uniform(0.5, 1.5, tuple(s.extent(d) for d in range(s.rank)))
-        for s in compiled.proc.symbols.arrays()
-    }
+    inputs = make_inputs(compiled.proc, seed)
     sim = simulate(compiled, inputs, tier="auto")
     return sim.canonical_stats(), sim.elapsed, sim.stats.messages
 
@@ -99,11 +98,7 @@ def _compiled():
 
 
 def _inputs(compiled, seed=11):
-    rng = np.random.default_rng(seed)
-    return {
-        s.name: rng.uniform(0.5, 1.5, tuple(s.extent(d) for d in range(s.rank)))
-        for s in compiled.proc.symbols.arrays()
-    }
+    return make_inputs(compiled.proc, seed)
 
 
 @st.composite
@@ -113,6 +108,7 @@ def machine_models(draw):
         alpha=draw(st.floats(min_value=1e-9, max_value=1e-2)),
         beta=draw(st.floats(min_value=1e-10, max_value=1e-5)),
         flop_time=draw(st.floats(min_value=1e-10, max_value=1e-6)),
+        element_bytes=draw(st.sampled_from((4, 8))),
         stmt_overhead=draw(st.floats(min_value=0.0, max_value=1e-6)),
     )
 
@@ -133,3 +129,56 @@ def test_lane_vector_clocks_match_scalar_runs(models):
             scalar.canonical_stats()["clocks"]
         )
         assert sim.clocks.lane_elapsed(lane) == scalar.elapsed
+
+
+def _lanes_equal(vector, scalars):
+    got = np.broadcast_to(np.asarray(vector), (len(scalars),))
+    return all(got[m] == s for m, s in enumerate(scalars))
+
+
+SPANS = st.integers(min_value=0, max_value=128)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    models=st.lists(machine_models(), min_size=1, max_size=4),
+    n=st.integers(min_value=-2, max_value=10**7),
+    span=SPANS,
+    data=st.data(),
+)
+def test_vector_pricing_matches_scalar_models(models, n, span, data):
+    """Every VectorMachine pricing method is its scalar MachineModel
+    counterpart lane for lane (``==``), for a span shared by every lane
+    and for a span per lane: the hand-mirrored arithmetic order is
+    checked, not trusted."""
+    machine = VectorMachine(models)
+    lane_spans = np.asarray(
+        data.draw(st.lists(SPANS, min_size=len(models), max_size=len(models)))
+    )
+    flops = data.draw(st.integers(min_value=0, max_value=500))
+    instances = data.draw(st.integers(min_value=0, max_value=10**6))
+
+    for method in ("message_time", "shift_time"):
+        assert _lanes_equal(
+            getattr(machine, method)(n), [getattr(m, method)(n) for m in models]
+        ), method
+    assert _lanes_equal(
+        machine.compute_time(flops, instances),
+        [m.compute_time(flops, instances) for m in models],
+    )
+    for method in ("broadcast_time", "reduce_time", "gather_time",
+                   "alltoall_time"):
+        assert _lanes_equal(
+            getattr(machine, method)(n, span),
+            [getattr(m, method)(n, span) for m in models],
+        ), method
+        assert _lanes_equal(
+            getattr(machine, method)(n, lane_spans),
+            [getattr(m, method)(n, int(p)) for m, p in zip(models, lane_spans)],
+        ), method
+    for kind in ("none", "shift", "broadcast", "general"):
+        pattern = TransferPattern(kind=kind)
+        assert _lanes_equal(
+            machine.transfer_time(pattern, n, span),
+            [m.transfer_time(pattern, n, span) for m in models],
+        ), kind

@@ -16,7 +16,8 @@ import pytest
 from repro.core.driver import CompilerOptions, compile_source
 from repro.fuzz import GenConfig, check_program, check_tiers, generate, shrink
 from repro.fuzz.generator import _array_roles
-from repro.fuzz.harness import make_inputs, tier_payload
+from repro.fuzz.harness import tier_payload
+from repro.ir.build import make_inputs, parse_and_build
 from repro.machine.simulator import simulate
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -50,9 +51,9 @@ def test_materialization_timing_differs_but_state_matches():
     forcing materialization yields byte-identical data + validity."""
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
-    inputs = make_inputs(source, 0)
-    walk = simulate(compiled, dict(inputs), fast_path=False)
-    low = simulate(compiled, dict(inputs), fast_path=True, slab_path=False)
+    inputs = make_inputs(parse_and_build(source), 0)
+    walk = simulate(compiled, dict(inputs), tier="interpreted")
+    low = simulate(compiled, dict(inputs), tier="lowered")
     walk_keys = set(walk.memories[0].arrays)
     low_keys = set(low.memories[0].arrays)
     assert walk_keys <= low_keys  # the class this regression pinned
@@ -69,7 +70,8 @@ def test_tier_payload_covers_every_declared_array():
     in every rank's digest record, whether or not that tier touched it."""
     source = _memory_repro()
     compiled = compile_source(source, CompilerOptions(num_procs=3))
-    sim = simulate(compiled, make_inputs(source, 0), fast_path=False)
+    inputs = make_inputs(parse_and_build(source), 0)
+    sim = simulate(compiled, inputs, tier="interpreted")
     payload = tier_payload(sim)
     for record in payload["memories"]:
         assert {"A", "B", "C", "W"} <= set(record)
@@ -124,13 +126,14 @@ def test_every_scalar_is_written_before_read():
         program = generate(seed)
         source = program.emit(1)
         compiled = compile_source(source, CompilerOptions(num_procs=1))
-        simulate(compiled, make_inputs(source, 0), fast_path=False)
+        inputs = make_inputs(parse_and_build(source), 0)
+        simulate(compiled, inputs, tier="interpreted")
 
 
 def test_inputs_match_session_convention():
     program = generate(3)
     source = program.emit()
-    inputs = make_inputs(source, 0)
+    inputs = make_inputs(parse_and_build(source), 0)
     assert set(inputs) >= set(program.arrays)
     for name in program.arrays:
         assert inputs[name].shape == (program.n, program.n)

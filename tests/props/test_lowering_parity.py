@@ -37,8 +37,8 @@ def assert_parity(source, inputs=None, procs=4, strategy="selected", **opts):
     compiled = compile_source(
         source, CompilerOptions(strategy=strategy, num_procs=procs, **opts)
     )
-    fast = simulate(compiled, inputs, fast_path=True)
-    slow = simulate(compiled, inputs, fast_path=False)
+    fast = simulate(compiled, inputs, tier="slab")
+    slow = simulate(compiled, inputs, tier="interpreted")
     assert fast.clocks.snapshot() == slow.clocks.snapshot()
     assert fast.stats.as_dict() == slow.stats.as_dict()
     for name, values in slow_seq.arrays.items():

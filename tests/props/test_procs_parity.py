@@ -17,12 +17,12 @@ a nest that demotes to tier 2 mid-run (the slab executor gives up after
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import CompilerOptions, compile_source
+from repro.ir.build import make_inputs
 from repro.machine import slabexec
 from repro.machine.simulator import simulate
 from repro.model import SP2
@@ -55,11 +55,7 @@ def _reference_stats(source: str, options: CompilerOptions, seed: int):
     """One dedicated per-procs grid point: fresh compile, deterministic
     inputs, tier="auto" simulation."""
     compiled = compile_source(source, options)
-    rng = np.random.default_rng(seed)
-    inputs = {
-        s.name: rng.uniform(0.5, 1.5, tuple(s.extent(d) for d in range(s.rank)))
-        for s in compiled.proc.symbols.arrays()
-    }
+    inputs = make_inputs(compiled.proc, seed)
     sim = simulate(compiled, inputs, tier="auto")
     return sim.canonical_stats(), sim.elapsed, sim.stats.messages
 
@@ -172,11 +168,7 @@ def test_forced_bails_actually_demote(monkeypatch):
     options = CompilerOptions(num_procs=4)
     baseline = Metrics()
     compiled = compile_source(source, options)
-    rng = np.random.default_rng(3)
-    inputs = {
-        s.name: rng.uniform(0.5, 1.5, tuple(s.extent(d) for d in range(s.rank)))
-        for s in compiled.proc.symbols.arrays()
-    }
+    inputs = make_inputs(compiled.proc, 3)
     simulate(compiled, inputs, tier="auto", metrics=baseline)
     entries = {
         key.split("loop=")[1].split(",")[0]: count

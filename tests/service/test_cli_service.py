@@ -123,14 +123,21 @@ class TestCatalogCli:
 
 class TestFlagConventions:
     def test_measure_exec_canonical_and_aliases(self, program, capsys):
-        for flags in (
-            ["--measure", "estimate", "--exec", "batched"],
-            ["--sweep-mode", "estimate", "--mode", "batched"],
-        ):
-            assert main([
-                "sweep", str(program), "--procs", "2", *flags,
-            ]) == 0
-            assert "total" in capsys.readouterr().out
+        assert main([
+            "sweep", str(program), "--procs", "2",
+            "--measure", "estimate", "--exec", "batched",
+        ]) == 0
+        assert "total" in capsys.readouterr().out
+        # the old spellings are gone: argparse rejects them
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", str(program), "--procs", "2",
+                "--sweep-mode", "estimate",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sweep-mode" in (
+            capsys.readouterr().err
+        )
 
     def test_hidden_aliases_not_in_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -147,11 +147,16 @@ class TestExplainAndProfile:
 
 
 class TestTraceFlag:
-    def test_run_with_trace(self, program_file, capsys):
-        assert main(["run", program_file, "--procs", "4", "--trace", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "trace:" in out
-        assert "fetch" in out
+    def test_run_with_trace(self, program_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", program_file, "--procs", "4", "--trace", "t.json"]) == 0
+        assert (tmp_path / "t.json").exists()
+        # a bare integer is a usage error, not a file named "5"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", program_file, "--procs", "4", "--trace", "5"])
+        assert exc.value.code == 2
+        assert "--trace OUT.json" in capsys.readouterr().err
+        assert not (tmp_path / "5").exists()
 
 
 class TestObsFlags:
@@ -241,7 +246,7 @@ class TestSweepCommand:
 
         assert main(
             ["sweep", program_file, "--procs", "2", "--json",
-             "--sweep-mode", "estimate"]
+             "--measure", "estimate"]
         ) == 0
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 1
@@ -252,7 +257,7 @@ class TestSweepCommand:
         assert main(
             ["sweep", program_file, "--procs", "2",
              "--axis", "strategy=selected,producer",
-             "--sweep-mode", "compile"]
+             "--measure", "compile"]
         ) == 0
         out = capsys.readouterr().out
         assert "2 points" in out
@@ -260,7 +265,7 @@ class TestSweepCommand:
     def test_forced_batched_mode(self, program_file, capsys):
         assert main(
             ["sweep", program_file, "--procs", "2", "4",
-             "--mode", "batched"]
+             "--exec", "batched"]
         ) == 0
         out = capsys.readouterr().out
         assert "(2 batched" in out
