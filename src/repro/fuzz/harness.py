@@ -131,11 +131,15 @@ def check_tiers(
     *,
     seed: int = 0,
     options: CompilerOptions | None = None,
+    plans: set[str] | None = None,
 ) -> tuple[list[Divergence], dict | None]:
     """Tier parity at one processor count.  Returns the divergences
     plus the interpreted tier's payload (the reference for corpus
-    pinning), or None when nothing ran."""
+    pinning), or None when nothing ran.  ``plans`` collects the slab
+    plan kinds ("inner", "column", "triangular") that took over a nest
+    in the slab-tier run."""
     from ..machine.simulator import simulate
+    from ..obs import Metrics
 
     options = options or CompilerOptions(num_procs=procs)
     try:
@@ -157,11 +161,15 @@ def check_tiers(
     payloads: dict[str, dict] = {}
     errors: dict[str, str] = {}
     for tier in TIERS:
+        metrics = Metrics() if tier == "slab" and plans is not None else None
         try:
-            sim = simulate(compiled, dict(inputs), tier=tier)
+            sim = simulate(compiled, dict(inputs), tier=tier, metrics=metrics)
             payloads[tier] = tier_payload(sim)
         except Exception as exc:  # noqa: BLE001 — compared below
             errors[tier] = _trim(exc)
+        else:
+            if metrics is not None:
+                plans.update(_plan_kinds(compiled.slabs, metrics))
 
     divergences: list[Divergence] = []
     if errors and len(errors) == len(TIERS):
@@ -208,6 +216,20 @@ def check_tiers(
                 )
             )
     return divergences, reference
+
+
+def _plan_kinds(report, metrics) -> set[str]:
+    """Kinds of the plans behind the takeovers ``metrics`` counted: the
+    slab executor builds the first kind whose verdict is "ok"."""
+    kinds = set()
+    for key in metrics.counters:
+        if key.startswith("slab.takeover[loop=S"):
+            sid = int(key[len("slab.takeover[loop=S"):-1])
+            kinds.add(next(
+                kind for kind in ("inner", "column", "triangular")
+                if getattr(report, kind).get(sid) == "ok"
+            ))
+    return kinds
 
 
 def _first_difference(want: dict, got: dict) -> str:
@@ -405,16 +427,20 @@ def check_program(
     sweep: bool = False,
     mapping: bool = True,
     sequential: bool = True,
+    plans: set[str] | None = None,
 ) -> list[Divergence]:
     """Run every lens over ``program`` (a
     :class:`~repro.fuzz.grammar.FuzzProgram` or raw source text).
-    ``sweep`` adds the (slower) pool-vs-batched differential."""
+    ``sweep`` adds the (slower) pool-vs-batched differential; ``plans``
+    collects the slab plan kinds that ran (see :func:`check_tiers`)."""
     emit = program.emit if hasattr(program, "emit") else None
     gen_seed = getattr(program, "seed", None)
     divergences: list[Divergence] = []
     for procs in procs_list:
         source = emit(procs) if emit is not None else program
-        tier_div, _reference = check_tiers(source, procs, seed=seed)
+        tier_div, _reference = check_tiers(
+            source, procs, seed=seed, plans=plans
+        )
         divergences.extend(tier_div)
         if any(d.kind in ("compile-crash", "invalid") for d in tier_div):
             break  # nothing else can run; one record is enough

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .generator import GenConfig, generate
@@ -50,15 +51,21 @@ class FuzzReport:
     findings: list[Finding] = field(default_factory=list)
     #: how many generated programs actually exercised the slab tier
     slab_hits: int = 0
+    #: slab plan kind -> programs where that kind took over a nest
+    plan_hits: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
         return not self.findings and self.invalid == 0
 
     def summary(self) -> str:
+        plans = ", ".join(
+            f"{kind} {self.plan_hits[kind]}"
+            for kind in ("inner", "column", "triangular")
+        )
         lines = [
             f"fuzz: {self.checked}/{self.count} programs checked, "
-            f"{self.slab_hits} ran slabs, {self.invalid} invalid, "
+            f"{self.slab_hits} ran slabs ({plans}), {self.invalid} invalid, "
             f"{len(self.findings)} divergent"
         ]
         for finding in self.findings:
@@ -70,23 +77,6 @@ class FuzzReport:
             )
             lines.append("    " + finding.divergences[0].describe())
         return "\n".join(lines)
-
-
-def _slab_ran(program: FuzzProgram, procs: int = 3, seed: int = 0) -> bool:
-    """Did the slab tier actually take over a nest of this program?"""
-    from ..core.driver import CompilerOptions, compile_source
-    from ..ir.build import make_inputs, parse_and_build
-    from ..machine.simulator import simulate
-
-    try:
-        source = program.emit(procs)
-        compiled = compile_source(source, CompilerOptions(num_procs=procs))
-        sim = simulate(
-            compiled, make_inputs(parse_and_build(source), seed), tier="slab"
-        )
-    except Exception:  # noqa: BLE001 — coverage stat only
-        return False
-    return sim.slab_instances > 0
 
 
 def run_campaign(
@@ -113,14 +103,16 @@ def run_campaign(
         gen_seed = seed * STRIDE + index
         program = generate(gen_seed, config)
         with_sweep = sweep_every > 0 and index % sweep_every == sweep_every - 1
+        plans: set[str] = set()
         divergences = check_program(
             program,
             procs_list=procs_list,
             sweep=with_sweep,
+            plans=plans,
         )
         report.checked += 1
-        if _slab_ran(program):
-            report.slab_hits += 1
+        report.slab_hits += bool(plans)
+        report.plan_hits.update(plans)
         if not divergences:
             continue
         if all(d.kind == "invalid" for d in divergences):

@@ -40,7 +40,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..comm.analysis import hoisted_loop_vars
-from ..errors import InterpreterError, MappingError, SimulationError
+from ..errors import InterpreterError, MappingError
 from ..ir.expr import (
     ArrayElemRef,
     BinOp,
@@ -228,8 +228,10 @@ def _canon_form(form) -> tuple:
     )
 
 
-def _form_symbols(form):
-    return [s for s, c in form.coeffs if c != 0]
+def _free_names(form) -> set[str]:
+    """Names of the symbols without a compile-time value that ``form``
+    depends on."""
+    return {s.name for s, c in form.coeffs if c != 0 and s.value is None}
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +259,12 @@ def _as_bool(value):
 
 class _Ctx:
     """Evaluation context: resolves loop variables, scalars and array
-    reads for one lane set.  Subclassed by the plans."""
+    reads for one lane set.  Subclassed by the plans, which set ``env``
+    (the loop-variable environment)."""
+
+    env: dict
 
     def loop_vec(self, name: str):
-        raise NotImplementedError
-
-    @property
-    def env(self):
         raise NotImplementedError
 
     def read_scalar(self, ref: ScalarRef):
@@ -422,20 +423,20 @@ class SlabReport:
     def eligible_loops(self) -> set[int]:
         """Statement ids of every loop with at least one "ok" verdict."""
         out: set[int] = set()
-        tri = getattr(self, "triangular", {})  # pre-field pickles
-        for table in (self.inner, self.column, tri):
+        for table in (self.inner, self.column, self.triangular):
             out.update(sid for sid, v in table.items() if v == "ok")
         return out
 
     def summary(self) -> dict[str, int]:
-        tri = getattr(self, "triangular", {})  # pre-field pickles
         return {
             "inner_ok": sum(1 for v in self.inner.values() if v == "ok"),
             "inner_total": len(self.inner),
             "column_ok": sum(1 for v in self.column.values() if v == "ok"),
             "column_total": len(self.column),
-            "triangular_ok": sum(1 for v in tri.values() if v == "ok"),
-            "triangular_total": len(tri),
+            "triangular_ok": sum(
+                1 for v in self.triangular.values() if v == "ok"
+            ),
+            "triangular_total": len(self.triangular),
         }
 
 
@@ -464,17 +465,27 @@ def _stmt_array_refs(stmt: AssignStmt):
     return out
 
 
-def _check_affine_refs(stmt: AssignStmt) -> str | None:
+def _stmt_reason(stmt: AssignStmt, placements, loop: LoopStmt) -> str | None:
+    """Every statement of a slab nest has affine subscripts and no
+    communication placed at or inside the taken-over ``loop``
+    (``placements`` None: the runtime plans, which see no placements,
+    check the subscripts only)."""
     for ref in _stmt_array_refs(stmt):
         for sub in ref.subscripts:
             if affine_form(sub) is None:
-                return f"non-affine subscript in {ref.symbol.name}"
+                return (
+                    f"S{stmt.stmt_id}: non-affine subscript in "
+                    f"{ref.symbol.name}"
+                )
+    for level in (placements or {}).get(stmt.stmt_id, ()):
+        if level >= loop.level:
+            return f"S{stmt.stmt_id}: communication placed inside the loop"
     return None
 
 
-def _check_executor(info, v: str | None) -> str | None:
+def _check_executor(info, v: str) -> str | None:
     """Executor must be an owner/all set whose position does not vary
-    with the vectorized loop variable ``v`` (None: any loop var)."""
+    with the vectorized loop variable ``v``."""
     if info is None:
         return "no executor info"
     if info.kind not in ("owner", "all"):
@@ -483,7 +494,7 @@ def _check_executor(info, v: str | None) -> str | None:
         for dim in info.position:
             if dim.kind == "pos" and dim.form is not None:
                 for sym in dim.form.symbols:
-                    if v is not None and sym.name == v and sym.value is None:
+                    if sym.name == v and sym.value is None:
                         return f"executor position varies with {v}"
     return None
 
@@ -571,107 +582,10 @@ def _classify_inner(proc, loop: LoopStmt, executors, placements,
         reason = _check_executor(executors.get(s.stmt_id), v)
         if reason is not None:
             return f"S{s.stmt_id}: {reason}"
-        reason = _check_affine_refs(s)
+        reason = _stmt_reason(s, placements, loop)
         if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        for level in placements.get(s.stmt_id, ()):
-            if level >= loop.level:
-                return f"S{s.stmt_id}: communication placed inside the loop"
+            return reason
     return _carried_dependence(proc, loop, assigns, reduction_ids) or "ok"
-
-
-def _classify_column(proc, loop: LoopStmt, executors, placements,
-                     reduction_ids, grid_rank) -> str:
-    """An outer loop executed column-wise: its body is straight-line
-    assigns around exactly one inner loop; every statement runs on the
-    owner of the same position (a function of the outer variable only),
-    and every array touches exactly its outer-variable column — so the
-    columns evolve independently and one rank-sliced numpy pass per
-    statement reproduces the sequential per-column semantics."""
-    if grid_rank is not None and grid_rank != 1:
-        return "grid is not one-dimensional"
-    j = loop.var.name
-    inner: LoopStmt | None = None
-    assigns = []
-    for s in loop.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if isinstance(s, LoopStmt):
-            if inner is not None:
-                return "more than one inner loop"
-            inner = s
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"body contains {type(s).__name__}"
-        assigns.append(s)
-    if inner is None:
-        return "no inner loop"
-    i = inner.var.name
-    inner_assigns = []
-    for s in inner.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"inner body contains {type(s).__name__}"
-        inner_assigns.append(s)
-    all_assigns = assigns + inner_assigns
-    if not all_assigns:
-        return "empty body"
-    # inner bounds must be invariant over the takeover
-    for bound in (inner.low, inner.high, inner.step):
-        if bound is None:
-            continue
-        for ref in bound.refs():
-            if isinstance(ref, ScalarRef) and ref.symbol.name in (j, i):
-                return "inner bounds vary with the loop variables"
-    canon_pos = _MISSING
-    for s in all_assigns:
-        if s.stmt_id in reduction_ids:
-            return f"S{s.stmt_id}: reduction update in body"
-        info = executors.get(s.stmt_id)
-        reason = _check_executor(info, None)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        if info.kind != "owner":
-            return f"S{s.stmt_id}: executor kind {info.kind}"
-        pos = tuple(
-            _canon_form(dim.form)
-            if dim.kind == "pos" and dim.form is not None
-            else dim.kind
-            for dim in info.position
-        )
-        if canon_pos is _MISSING:
-            canon_pos = pos
-        elif pos != canon_pos:
-            return "executor position differs across statements"
-        reason = _check_affine_refs(s)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        for level in placements.get(s.stmt_id, ()):
-            if level >= loop.level:
-                return f"S{s.stmt_id}: communication placed inside the loop"
-    # every array must touch exactly its own column: one dimension
-    # subscripted exactly ``j`` in every ref, the others ``j``-free
-    jdims: dict[str, int] = {}
-    for s in all_assigns:
-        for ref in _stmt_array_refs(s):
-            name = ref.symbol.name
-            ref_jdims = []
-            for d, sub in enumerate(ref.subscripts):
-                form = affine_form(sub)
-                canon = _canon_form(form)
-                if canon == (0, ((j, 1),)):
-                    ref_jdims.append(d)
-                elif any(nm == j for nm, _ in canon[1]):
-                    return f"{name}: mixed {j}-subscript"
-            if len(ref_jdims) != 1:
-                return f"{name}: no unique {j}-column dimension"
-            d = ref_jdims[0]
-            if jdims.setdefault(name, d) != d:
-                return f"{name}: inconsistent {j}-column dimension"
-            if len(ref.subscripts) != 2:
-                return f"{name}: only rank-2 arrays supported"
-    return "ok"
 
 
 def _replicated_exec(info) -> bool:
@@ -687,137 +601,226 @@ def _replicated_exec(info) -> bool:
     )
 
 
-def _classify_triangular(proc, loop: LoopStmt, executors, placements,
-                         reduction_ids, grid_rank) -> str:
-    """An outer loop executed as one flattened slab: straight-line
-    assigns around exactly one inner loop whose bounds may be affine in
-    the outer variable (triangular nests) — per-column slab widths vary
-    with the outer index.  Every statement runs on the owner of the
-    same outer-variable position, every array touches exactly its own
-    column, and arrays are written only inside the inner loop, so the
-    columns evolve independently and the whole imperfect nest commits
-    as one takeover."""
-    if grid_rank is not None and grid_rank != 1:
-        return "grid is not one-dimensional"
-    j = loop.var.name
-    inner: LoopStmt | None = None
-    pre: list[AssignStmt] = []
-    post: list[AssignStmt] = []
-    for s in loop.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if isinstance(s, LoopStmt):
-            if inner is not None:
-                return "more than one inner loop"
-            inner = s
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"body contains {type(s).__name__}"
-        (pre if inner is None else post).append(s)
-    if inner is None:
-        return "no inner loop"
-    i = inner.var.name
-    body: list[AssignStmt] = []
-    for s in inner.body:
-        if isinstance(s, ContinueStmt):
-            continue
-        if not isinstance(s, AssignStmt):
-            return f"inner body contains {type(s).__name__}"
-        body.append(s)
-    all_assigns = pre + body + post
-    if not body:
-        return "empty inner body"
-    # inner bounds may vary with the outer variable (that is the point)
-    # but not with the inner variable; the step must be invariant
-    for bound, tag in ((inner.low, "low"), (inner.high, "high")):
-        form = affine_form(bound) if bound is not None else None
-        if form is None:
-            return f"inner {tag} bound not affine"
-        for sym, _c in form.coeffs:
-            if sym.value is None and sym.name == i:
-                return "inner bounds vary with the inner variable"
-    if inner.step is not None:
-        form = affine_form(inner.step)
-        if form is None:
-            return "inner step not affine"
-        for sym, _c in form.coeffs:
-            if sym.value is None and sym.name in (i, j):
-                return "inner step varies with the loop variables"
-    canon_pos = _MISSING
-    for s in all_assigns:
-        if s.stmt_id in reduction_ids:
-            return f"S{s.stmt_id}: reduction update in body"
-        info = executors.get(s.stmt_id)
-        if info is None:
-            return f"S{s.stmt_id}: no executor info"
-        if _replicated_exec(info):
-            # every rank runs it each iteration: fine for scalar-only
-            # statements with rank-invariant operands (checked at run
-            # time); arrays would read per-rank state
-            if isinstance(s.lhs, ArrayElemRef) or _stmt_array_refs(s):
-                return f"S{s.stmt_id}: replicated statement touches arrays"
-            for level in placements.get(s.stmt_id, ()):
-                if level >= loop.level:
-                    return (
-                        f"S{s.stmt_id}: communication placed inside the loop"
-                    )
-            continue
-        reason = _check_executor(info, None)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        if info.kind != "owner" or len(info.position) != 1:
-            return f"S{s.stmt_id}: executor is not a 1-D owner position"
-        dim = info.position[0]
-        if dim.kind != "pos" or dim.form is None:
-            return f"S{s.stmt_id}: executor position is not a point"
-        pos = _canon_form(dim.form)
-        if canon_pos is _MISSING:
-            canon_pos = pos
-        elif pos != canon_pos:
-            return "executor position differs across statements"
+class _Nest:
+    """The nest shape both column-style plans take, checked once for the
+    static classifier and the runtime plan alike.
+
+    On a one-dimensional grid, the outer loop (variable ``j``) wraps
+    straight-line assigns — a prologue, exactly one inner loop (variable
+    ``i``) of assigns, an epilogue.  No statement is a reduction update;
+    every statement runs on the owner of one canonical 1-D position, a
+    point that is a function of ``j`` only; and every array reference
+    touches exactly its own ``j`` column: one dimension subscripted
+    exactly ``j``, the others ``j``-free.  So the columns evolve
+    independently.
+
+    ``flat`` adds the :class:`TriangularPlan` rules, which flatten the
+    nest: the inner low/high bounds may be affine in ``j``; scalar-only
+    statements may run replicated on every rank; arrays are written
+    only in the inner loop, and prologue/epilogue references are
+    ``i``-free.  Otherwise the :class:`ColumnPlan` rules apply, which
+    step the inner loop in order: invariant inner bounds and rank-2
+    arrays.  Any failure raises :class:`_Bail` with the reason."""
+
+    def __init__(self, loop: LoopStmt, executors, reduction_ids, grid_rank,
+                 *, flat: bool, placements=None, runs_everywhere=None):
+        if grid_rank is not None and grid_rank != 1:
+            raise _Bail("grid is not one-dimensional")
+        self.j = loop.var.name
+        inner: LoopStmt | None = None
+        pre: list[AssignStmt] = []
+        post: list[AssignStmt] = []
+        for s in loop.body:
+            if isinstance(s, ContinueStmt):
+                continue
+            if isinstance(s, LoopStmt):
+                if inner is not None:
+                    raise _Bail("more than one inner loop")
+                inner = s
+                continue
+            if not isinstance(s, AssignStmt):
+                raise _Bail(f"body contains {type(s).__name__}")
+            (pre if inner is None else post).append(s)
+        if inner is None:
+            raise _Bail("no inner loop")
+        self.inner = inner
+        self.i = inner.var.name
+        body: list[AssignStmt] = []
+        for s in inner.body:
+            if isinstance(s, ContinueStmt):
+                continue
+            if not isinstance(s, AssignStmt):
+                raise _Bail(f"inner body contains {type(s).__name__}")
+            body.append(s)
+        self.pre, self.body, self.post = pre, body, post
+        stmts = pre + body + post
+        if flat and not body:
+            raise _Bail("empty inner body")
+        if not stmts:
+            raise _Bail("empty body")
+        self.written_scalars = {
+            s.lhs.symbol.name for s in stmts if isinstance(s.lhs, ScalarRef)
+        }
+        self._check_bounds(flat)
+        #: stmt ids of the replicated (every-rank, scalar-only) statements
+        self.repl: set[int] = set()
+        #: canonical owner position; its form and format when a point
+        self.pos = _MISSING
+        self.pos_form = self.pos_fmt = None
+        for s in stmts:
+            sid = s.stmt_id
+            if sid in reduction_ids:
+                raise _Bail(f"S{sid}: reduction update in body")
+            info = executors.get(sid)
+            if info is None:
+                raise _Bail(f"S{sid}: no executor info")
+            if flat and (
+                _replicated_exec(info)
+                or (runs_everywhere is not None and runs_everywhere(s))
+            ):
+                # every rank runs it each iteration: fine for scalar-only
+                # statements with rank-invariant operands (checked at run
+                # time); arrays would read per-rank state
+                if isinstance(s.lhs, ArrayElemRef) or _stmt_array_refs(s):
+                    raise _Bail(f"S{sid}: replicated statement touches arrays")
+                self.repl.add(sid)
+            else:
+                self._check_position(sid, info, flat)
+            reason = _stmt_reason(s, placements, loop)
+            if reason is not None:
+                raise _Bail(reason)
+        if self.pos is _MISSING:
+            raise _Bail("no owner-positioned statement")
+        self._check_columns(flat)
+
+    def _check_bounds(self, flat: bool) -> None:
+        """A takeover evaluates the inner bounds once, so nothing they
+        read may change during it: not ``i``, no scalar the nest writes,
+        and not ``j`` — except in flat low/high bounds, which are affine
+        forms evaluated per column."""
+        inner = self.inner
+        moving = self.written_scalars | {self.i}
+        if not flat:
+            for bound in (inner.low, inner.high, inner.step):
+                if bound is not None and any(
+                    isinstance(r, ScalarRef)
+                    and r.symbol.name in moving | {self.j}
+                    for r in bound.refs()
+                ):
+                    raise _Bail("inner bounds vary during the takeover")
+            return
+        self.low_form = affine_form(inner.low)
+        self.high_form = affine_form(inner.high)
+        step = None if inner.step is None else affine_form(inner.step)
+        if (
+            self.low_form is None
+            or self.high_form is None
+            or (inner.step is not None and step is None)
+        ):
+            raise _Bail("inner bounds not affine")
+        if (
+            (_free_names(self.low_form) | _free_names(self.high_form))
+            & moving
+        ) or (step is not None and _free_names(step) & (moving | {self.j})):
+            raise _Bail("inner bounds vary during the takeover")
+
+    def _check_position(self, sid: int, info, flat: bool) -> None:
+        """The statement runs on the owner of the nest's one canonical
+        1-D position.  A column nest also passes with a position no
+        point constrains (``any``: one-rank grids, replicated data),
+        which :class:`ColumnPlan` declines when it is built."""
+        if info.kind != "owner":
+            raise _Bail(f"S{sid}: executor kind {info.kind}")
+        dim = info.position[0] if len(info.position) == 1 else None
+        point = (
+            dim is not None
+            and dim.kind == "pos"
+            and dim.form is not None
+            and dim.fmt is not None
+        )
+        if not point and (flat or dim is None):
+            raise _Bail(f"S{sid}: executor position is not a point")
+        pos = _canon_form(dim.form) if point else dim.kind
+        if self.pos is not _MISSING:
+            if pos != self.pos:
+                raise _Bail("executor position differs across statements")
+            return
+        self.pos = pos
+        if not point:
+            return
+        self.pos_form, self.pos_fmt = dim.form, dim.fmt
         for sym, _c in dim.form.coeffs:
-            if sym.value is None and sym.name == i:
-                return "executor position varies with the inner variable"
-        reason = _check_affine_refs(s)
-        if reason is not None:
-            return f"S{s.stmt_id}: {reason}"
-        for level in placements.get(s.stmt_id, ()):
-            if level >= loop.level:
-                return f"S{s.stmt_id}: communication placed inside the loop"
-    if canon_pos is _MISSING:
-        return "no owner-positioned statement"
-    # column discipline: one dimension subscripted exactly ``j`` in
-    # every ref, the others ``j``-free; arrays written only in the
-    # inner loop, and prologue/epilogue refs are ``i``-free
-    inner_written = {
-        s.lhs.symbol.name for s in body if isinstance(s.lhs, ArrayElemRef)
-    }
-    jdims: dict[str, int] = {}
-    for s in all_assigns:
-        in_body = s in body
-        if not in_body and isinstance(s.lhs, ArrayElemRef):
-            return "array written outside the inner loop"
-        for ref in _stmt_array_refs(s):
-            name = ref.symbol.name
-            if not in_body and name in inner_written:
-                return f"{name}: written array read outside the inner loop"
-            ref_jdims = []
-            for d, sub in enumerate(ref.subscripts):
-                canon = _canon_form(affine_form(sub))
-                if canon == (0, ((j, 1),)):
-                    ref_jdims.append(d)
-                elif any(nm == j for nm, _ in canon[1]):
-                    return f"{name}: mixed {j}-subscript"
-                elif not in_body and any(nm == i for nm, _ in canon[1]):
-                    return f"{name}: {i}-subscript outside the inner loop"
-            if len(ref_jdims) != 1:
-                return f"{name}: no unique {j}-column dimension"
-            d = ref_jdims[0]
-            if jdims.setdefault(name, d) != d:
-                return f"{name}: inconsistent {j}-column dimension"
-    reason = _carried_dependence(proc, inner, body, reduction_ids)
-    if reason is not None:
-        return reason
+            if sym.value is not None or sym.name == self.j:
+                continue
+            if sym.name == self.i:
+                raise _Bail("executor position varies with the inner variable")
+            if not sym.is_loop_var or sym.name in self.written_scalars:
+                raise _Bail("executor position not a column function")
+
+    def _check_columns(self, flat: bool) -> None:
+        """Column discipline over every array reference; records
+        ``jdims`` (array name -> its ``j``-column dimension)."""
+        i, j = self.i, self.j
+        inner_written = {
+            s.lhs.symbol.name
+            for s in self.body
+            if isinstance(s.lhs, ArrayElemRef)
+        }
+        self.jdims: dict[str, int] = {}
+        for in_body, stmts in (
+            (False, self.pre), (True, self.body), (False, self.post)
+        ):
+            outside = flat and not in_body
+            for s in stmts:
+                if outside and isinstance(s.lhs, ArrayElemRef):
+                    raise _Bail("array written outside the inner loop")
+                for ref in _stmt_array_refs(s):
+                    name = ref.symbol.name
+                    if outside and name in inner_written:
+                        raise _Bail(
+                            f"{name}: written array read outside the inner "
+                            "loop"
+                        )
+                    ref_jdims = []
+                    for d, sub in enumerate(ref.subscripts):
+                        canon = _canon_form(affine_form(sub))
+                        names = {nm for nm, _c in canon[1]}
+                        if canon == (0, ((j, 1),)):
+                            ref_jdims.append(d)
+                        elif j in names:
+                            raise _Bail(f"{name}: mixed {j}-subscript")
+                        elif outside and i in names:
+                            raise _Bail(
+                                f"{name}: {i}-subscript outside the inner loop"
+                            )
+                    if len(ref_jdims) != 1:
+                        raise _Bail(f"{name}: no unique {j}-column dimension")
+                    d = ref_jdims[0]
+                    if self.jdims.setdefault(name, d) != d:
+                        raise _Bail(
+                            f"{name}: inconsistent {j}-column dimension"
+                        )
+                    if not flat and len(ref.subscripts) != 2:
+                        raise _Bail(f"{name}: only rank-2 arrays supported")
+
+
+def _classify_nest(proc, loop: LoopStmt, executors, placements,
+                   reduction_ids, grid_rank, flat: bool) -> str:
+    """The column (``flat`` False) or triangular verdict of an outer
+    loop: the :class:`_Nest` shape, plus — for the flattened nest — no
+    loop-carried dependence in the inner loop."""
+    try:
+        nest = _Nest(
+            loop, executors, reduction_ids, grid_rank, flat=flat,
+            placements=placements,
+        )
+    except _Bail as bail:
+        return str(bail)
+    if flat:
+        return (
+            _carried_dependence(proc, nest.inner, nest.body, reduction_ids)
+            or "ok"
+        )
     return "ok"
 
 
@@ -835,11 +838,6 @@ def classify_procedure(proc, executors, events, reduction_ids,
                     report.inner[s.stmt_id] = _classify_inner(
                         proc, s, executors, placements, reduction_ids
                     )
-                elif (
-                    len(nested) == 1
-                    and report.inner.get(nested[0].stmt_id) != "ok"
-                ):
-                    pass  # classified below, after visiting children
                 visit(s.body)
             elif isinstance(s, IfStmt):
                 visit(s.then_body)
@@ -855,18 +853,18 @@ def classify_procedure(proc, executors, events, reduction_ids,
                     len(nested) == 1
                     and report.inner.get(nested[0].stmt_id, "") != "ok"
                 ):
-                    report.column[s.stmt_id] = _classify_column(
+                    report.column[s.stmt_id] = _classify_nest(
                         proc, s, executors, placements, reduction_ids,
-                        grid_rank,
+                        grid_rank, flat=False,
                     )
                 if len(nested) == 1:
                     # classified even when the inner loop is itself
                     # eligible: the outer takeover preempts; a bail
                     # falls back to tier 2, which re-enters the inner
                     # loop's own takeover
-                    report.triangular[s.stmt_id] = _classify_triangular(
+                    report.triangular[s.stmt_id] = _classify_nest(
                         proc, s, executors, placements, reduction_ids,
-                        grid_rank,
+                        grid_rank, flat=True,
                     )
                 visit_columns(s.body)
             elif isinstance(s, IfStmt):
@@ -923,8 +921,7 @@ class _Step:
     """One body assignment, preprocessed."""
 
     __slots__ = ("stmt", "sid", "dt", "kind", "name", "stype", "rhs",
-                 "red_op", "red_expr", "lhs_forms", "row_form",
-                 "region_key", "repl")
+                 "red_op", "red_expr", "region_key", "repl")
 
     def __init__(self, stmt: AssignStmt, dt: float):
         self.stmt = stmt
@@ -935,8 +932,6 @@ class _Step:
         self.rhs = stmt.rhs
         self.red_op = None
         self.red_expr = None
-        self.lhs_forms = None
-        self.row_form = None
         self.region_key = None
         self.repl = False
 
@@ -1039,7 +1034,7 @@ class _InnerCtx(_Ctx):
         self.plan = plan
         self.memory = plan.sim.memories[rank]
         self.iv = iv
-        self._env = env
+        self.env = env
         self.n = n
         self.offs = offs
         self.scalar_shadow: dict[str, np.ndarray] = {}
@@ -1063,14 +1058,10 @@ class _InnerCtx(_Ctx):
     def loop_vec(self, name: str):
         return self.iv if name == self.plan.v else None
 
-    @property
-    def env(self):
-        return self._env
-
     def read_scalar(self, ref: ScalarRef):
         name = ref.symbol.name
-        if name in self._env:  # mirrors the fetching reader
-            v = self._env[name]
+        if name in self.env:  # mirrors the fetching reader
+            v = self.env[name]
             return v, isinstance(v, int)
         vec = self.scalar_shadow.get(name)
         if vec is not None:
@@ -1239,17 +1230,122 @@ class _WrittenArray:
     several regions; *prepare* verifies the concrete index sets are
     pairwise disjoint (else it bails to tier 2)."""
 
-    __slots__ = ("symbol", "forms", "canon", "write_steps", "ref0")
+    __slots__ = ("write_steps", "ref0")
 
-    def __init__(self, symbol, forms, canon, ref0):
-        self.symbol = symbol
-        self.forms = forms
-        self.canon = canon
+    def __init__(self, ref0):
         self.write_steps: list[int] = []
         self.ref0 = ref0  # a representative lhs ref_id for offsets
 
 
-class InnerPlan:
+def _commit_nothing() -> None:
+    """The commit of an empty takeover."""
+
+
+class _WriteRegions:
+    """Write regions and per-reference lane offsets of a lane-parallel
+    takeover (:class:`InnerPlan`, :class:`TriangularPlan`).
+
+    Array stores are grouped into regions by canonical subscript form.
+    A read of a written array either matches a region exactly (lane for
+    lane) or is listed as a disjoint read; both are verified on the
+    concrete indices at prepare, where they are known."""
+
+    def _init_regions(self) -> None:
+        #: (name, canon) -> write region
+        self.regions: dict[tuple, _WrittenArray] = {}
+        #: name -> region keys of that array
+        self.written_arrays: dict[str, list[tuple]] = {}
+        #: read ref_id -> region key, for reads matching a write region
+        self.read_region: dict[int, tuple] = {}
+        #: read ref_ids of written arrays with *no* matching region:
+        #: concretely checked disjoint from every write at prepare
+        self.disjoint_reads: list[int] = []
+        #: ref_id -> (symbol, forms, offset key); refs sharing an offset
+        #: key share one offset evaluation per prepare
+        self.ref_forms: dict[int, tuple] = {}
+
+    def _add_ref(self, ref: ArrayElemRef, forms, canon, lanes=None) -> None:
+        """Register a reference evaluated over the lane set ``lanes``."""
+        self.ref_forms[ref.ref_id] = (
+            ref.symbol, forms, (ref.symbol.name, lanes, canon)
+        )
+
+    def _add_write(self, st: _Step, k: int, forms, canon,
+                   lanes=None) -> None:
+        key = (st.name, canon)
+        info = self.regions.get(key)
+        if info is None:
+            info = _WrittenArray(st.stmt.lhs.ref_id)
+            self.regions[key] = info
+            self.written_arrays.setdefault(st.name, []).append(key)
+        info.write_steps.append(k)
+        st.region_key = key
+        self._add_ref(st.stmt.lhs, forms, canon, lanes)
+
+    def _add_read(self, ref: ArrayElemRef, forms, lanes=None) -> None:
+        """Register a read, after every write has been registered."""
+        canon = tuple(_canon_form(f) for f in forms)
+        name = ref.symbol.name
+        if name in self.written_arrays:
+            key = (name, canon)
+            if key in self.regions:
+                self.read_region[ref.ref_id] = key
+            else:
+                self.disjoint_reads.append(ref.ref_id)
+        self._add_ref(ref, forms, canon, lanes)
+
+    def _lane_offsets(self, lane_vars: dict, env) -> dict[int, tuple]:
+        """ref_id -> bounds-checked zero-based offsets of every lane;
+        ``lane_vars`` maps a reference's lane set to its loop-variable
+        lane vectors."""
+        offs: dict[int, tuple] = {}
+        by_key: dict[tuple, tuple] = {}
+        for ref_id, (symbol, forms, key) in self.ref_forms.items():
+            got = by_key.get(key)
+            if got is None:
+                vec_vars = lane_vars[key[1]]
+                got = tuple(
+                    _bounds_checked_offset(
+                        _affine_vec(f, vec_vars, env), symbol, d
+                    )
+                    for d, f in enumerate(forms)
+                )
+                by_key[key] = got
+            offs[ref_id] = got
+        return offs
+
+    def _check_disjoint(self, offs: dict[int, tuple], n: int) -> None:
+        """Several write regions, or reads matching none: the static
+        classification was symbolic — verify the concrete index sets of
+        the ``n`` lanes are disjoint, else per-iteration order matters."""
+        if len(self.regions) <= 1 and not self.disjoint_reads:
+            return
+
+        def flat_of(ref_id):
+            symbol = self.ref_forms[ref_id][0]
+            shape = tuple(symbol.extent(d) for d in range(symbol.rank))
+            idx = tuple(
+                np.broadcast_to(np.asarray(o, dtype=np.int64), (n,))
+                for o in offs[ref_id]
+            )
+            return np.ravel_multi_index(idx, shape)
+
+        wflats = {
+            key: flat_of(info.ref0) for key, info in self.regions.items()
+        }
+        for keys in self.written_arrays.values():
+            for a in range(len(keys)):
+                for b in range(a + 1, len(keys)):
+                    if np.intersect1d(wflats[keys[a]], wflats[keys[b]]).size:
+                        raise _Bail("write regions overlap")
+        for ref_id in self.disjoint_reads:
+            rflat = flat_of(ref_id)
+            for key in self.written_arrays[self.ref_forms[ref_id][0].name]:
+                if np.intersect1d(rflat, wflats[key]).size:
+                    raise _Bail("read overlaps writes across lanes")
+
+
+class InnerPlan(_WriteRegions):
     """Vectorized execution of one innermost loop: every iteration is a
     lane; each participating rank evaluates its statements over the
     whole lane vector, then commits stores, invalidations, and charge
@@ -1265,15 +1361,7 @@ class InnerPlan:
         self.loop = loop
         self.v = loop.var.name
         self.steps: list[_Step] = []
-        #: (name, canon) -> write region
-        self.regions: dict[tuple, _WrittenArray] = {}
-        #: name -> region keys of that array
-        self.written_arrays: dict[str, list[tuple]] = {}
-        #: read ref_id -> region key, for reads matching a write region
-        self.read_region: dict[int, tuple] = {}
-        #: read ref_ids of written arrays with *no* matching region:
-        #: concretely checked disjoint from every write at prepare
-        self.disjoint_reads: list[int] = []
+        self._init_regions()
         self.written_scalars: dict[str, int] = {}  # name -> last writer
         self.acc_names: set[str] = set()
         #: array name -> step index of its fold (reduction into a fixed
@@ -1281,8 +1369,6 @@ class InnerPlan:
         self.afold_arrays: dict[str, int] = {}
         #: memory scalars subscripts depend on, resolved at prepare
         self.subscript_scalars: set[str] = set()
-        self.ref_forms: dict[int, tuple] = {}  # ref_id -> (symbol, forms)
-        red_exprs: list = []
         for stmt in loop.body:
             if isinstance(stmt, ContinueStmt):
                 continue
@@ -1293,6 +1379,7 @@ class InnerPlan:
                 raise _Bail("statement not lowered")
             st = _Step(stmt, dt)
             k = len(self.steps)
+            self.steps.append(st)
             red = sim._reduction_updates.get(stmt.stmt_id)
             if red is not None:
                 reduction, _mapping = red
@@ -1305,31 +1392,10 @@ class InnerPlan:
                     # fold into one array element: the subscripts must
                     # be loop-invariant, so every lane hits the same
                     # private accumulator element
-                    forms = [affine_form(s) for s in stmt.lhs.subscripts]
-                    if any(f is None for f in forms):
-                        raise _Bail("non-affine fold subscript")
-                    for f in forms:
-                        _check_form_resolvable(
-                            f, (self.v,), self.subscript_scalars
-                        )
-                        if any(
-                            sym.name == self.v and sym.value is None
-                            for sym in _form_symbols(f)
-                        ):
-                            raise _Bail("fold subscript varies with lane")
-                    canon = tuple(_canon_form(f) for f in forms)
-                    e = _afold_operand(stmt.rhs, st.name, canon, reduction.op)
-                    if e is None:
-                        raise _Bail("unrecognized array fold update")
-                    st.kind = "afold"
-                    st.red_op = reduction.op
-                    st.red_expr = e
-                    if st.name in self.afold_arrays:
-                        raise _Bail("array folded twice")
-                    self.afold_arrays[st.name] = k
-                    self.ref_forms[stmt.lhs.ref_id] = (stmt.lhs.symbol, forms)
-                    red_exprs.append(e)
-                    self.steps.append(st)
+                    forms = self._forms(stmt.lhs, "fold")
+                    if any(self.v in _free_names(f) for f in forms):
+                        raise _Bail("fold subscript varies with lane")
+                    self._add_fold(st, k, forms, reduction.op)
                     continue
                 if (
                     not isinstance(stmt.lhs, ScalarRef)
@@ -1345,62 +1411,24 @@ class InnerPlan:
                 st.red_op = reduction.op
                 st.red_expr = e
                 self.acc_names.add(st.name)
-                red_exprs.append(e)
             elif isinstance(stmt.lhs, ArrayElemRef):
-                st.kind = "array"
-                forms = [affine_form(s) for s in stmt.lhs.subscripts]
-                if any(f is None for f in forms):
-                    raise _Bail("non-affine store subscript")
-                for f in forms:
-                    _check_form_resolvable(
-                        f, (self.v,), self.subscript_scalars
-                    )
+                forms = self._forms(stmt.lhs, "store")
                 canon = tuple(_canon_form(f) for f in forms)
-                key = (st.name, canon)
-                info = self.regions.get(key)
-                if info is None:
-                    if not any(
-                        f.coeff(sym) != 0
-                        for f in forms
-                        for sym in f.symbols
-                        if sym.name == self.v and sym.value is None
-                    ):
-                        # every lane stores the same element: only a
-                        # serial fold (``A(c) = A(c) OP e``, the
-                        # reduction-into-column shape the reduction
-                        # pass left as a plain owner-computes assign)
-                        # has per-iteration semantics a slab can replay
-                        e = op = None
-                        for cand in ("+", "*", "MAX", "MIN"):
-                            e = _afold_operand(stmt.rhs, st.name, canon, cand)
-                            if e is not None:
-                                op = cand
-                                break
-                        if e is None:
-                            raise _Bail("store not injective in the loop var")
-                        st.kind = "sfold"
-                        st.red_op = op
-                        st.red_expr = e
-                        if st.name in self.afold_arrays:
-                            raise _Bail("array folded twice")
-                        self.afold_arrays[st.name] = k
-                        self.ref_forms[stmt.lhs.ref_id] = (
-                            stmt.lhs.symbol, forms
-                        )
-                        self.steps.append(st)
-                        continue
-                    info = _WrittenArray(
-                        stmt.lhs.symbol, forms, canon, stmt.lhs.ref_id
-                    )
-                    self.regions[key] = info
-                    self.written_arrays.setdefault(st.name, []).append(key)
-                info.write_steps.append(k)
-                st.region_key = key
-                self.ref_forms[stmt.lhs.ref_id] = (stmt.lhs.symbol, forms)
+                if (st.name, canon) not in self.regions and not any(
+                    self.v in _free_names(f) for f in forms
+                ):
+                    # every lane stores the same element: only a serial
+                    # fold (``A(c) = A(c) OP e``, the reduction-into-
+                    # column shape the reduction pass left as a plain
+                    # owner-computes assign) has per-iteration semantics
+                    # a slab can replay
+                    self._add_fold(st, k, forms, None)
+                    continue
+                st.kind = "array"
+                self._add_write(st, k, forms, canon)
             else:
                 st.kind = "scalar"
                 self.written_scalars[st.name] = k
-            self.steps.append(st)
         if not self.steps:
             raise _Bail("empty body")
         # rhs reads: affine forms everywhere; a read of an in-body
@@ -1412,24 +1440,9 @@ class InnerPlan:
             for ref in expr.refs():
                 if not isinstance(ref, ArrayElemRef):
                     continue
-                name = ref.symbol.name
-                if name in self.afold_arrays:
+                if ref.symbol.name in self.afold_arrays:
                     raise _Bail("fold array read outside its fold")
-                forms = [affine_form(s) for s in ref.subscripts]
-                if any(f is None for f in forms):
-                    raise _Bail("non-affine read subscript")
-                for f in forms:
-                    _check_form_resolvable(
-                        f, (self.v,), self.subscript_scalars
-                    )
-                if name in self.written_arrays:
-                    canon = tuple(_canon_form(f) for f in forms)
-                    key = (name, canon)
-                    if key in self.regions:
-                        self.read_region[ref.ref_id] = key
-                    else:
-                        self.disjoint_reads.append(ref.ref_id)
-                self.ref_forms[ref.ref_id] = (ref.symbol, forms)
+                self._add_read(ref, self._forms(ref, "read"))
         if set(self.afold_arrays) & set(self.written_arrays):
             raise _Bail("array both folded and written")
         # accumulators must not leak into any other statement
@@ -1462,6 +1475,37 @@ class InnerPlan:
                             sym.name == self.v or sym.name in mutated
                         ):
                             raise _Bail("executor varies inside the loop")
+
+    def _forms(self, ref: ArrayElemRef, what: str) -> list:
+        forms = [affine_form(s) for s in ref.subscripts]
+        if any(f is None for f in forms):
+            raise _Bail(f"non-affine {what} subscript")
+        for f in forms:
+            _check_form_resolvable(f, (self.v,), self.subscript_scalars)
+        return forms
+
+    def _add_fold(self, st: _Step, k: int, forms, op: str | None) -> None:
+        """A fold into one array element: ``afold`` for a reduction
+        update with operator ``op``; ``sfold`` (``op`` None) for a store
+        every lane makes to the same element, which only a serial fold
+        ``A(c) = A(c) OP e`` replays."""
+        canon = tuple(_canon_form(f) for f in forms)
+        for cand in (op,) if op else tuple(_RED_UFUNC):
+            e = _afold_operand(st.rhs, st.name, canon, cand)
+            if e is not None:
+                break
+        if e is None:
+            raise _Bail(
+                "unrecognized array fold update" if op
+                else "store not injective in the loop var"
+            )
+        st.kind = "afold" if op else "sfold"
+        st.red_op = cand
+        st.red_expr = e
+        if st.name in self.afold_arrays:
+            raise _Bail("array folded twice")
+        self.afold_arrays[st.name] = k
+        self._add_ref(st.stmt.lhs, forms, canon)
 
     # ------------------------------------------------------------------
 
@@ -1544,9 +1588,7 @@ class InnerPlan:
         n = slab_trip_count(low, high, step)
         sim = self.sim
         if n == 0:
-            def commit_empty():
-                pass
-            return commit_empty
+            return _commit_nothing
         steps = self.steps
         rank_sets: list[list[int]] = []
         exec_sets: list[set] = []
@@ -1585,53 +1627,8 @@ class InnerPlan:
                     raise _Bail(f"subscript scalar {nm} not integral")
                 sub_env[nm] = int(val)
         iv = low + step * np.arange(n, dtype=np.int64)
-        vec_vars = {self.v: iv}
-        offs: dict[int, tuple] = {}
-        by_key: dict[tuple, tuple] = {}
-        for ref_id, (symbol, forms) in self.ref_forms.items():
-            key = (symbol.name, tuple(_canon_form(f) for f in forms))
-            got = by_key.get(key)
-            if got is None:
-                got = tuple(
-                    _bounds_checked_offset(
-                        _affine_vec(f, vec_vars, sub_env), symbol, d
-                    )
-                    for d, f in enumerate(forms)
-                )
-                by_key[key] = got
-            offs[ref_id] = got
-        if len(self.regions) > 1 or self.disjoint_reads:
-            # several write regions, or reads not matching any region:
-            # the classification was symbolic — verify the concrete
-            # index sets are disjoint, else per-iteration order matters
-            def flat_of(ref_id):
-                symbol, forms = self.ref_forms[ref_id]
-                shape = tuple(
-                    symbol.extent(d) for d in range(symbol.rank)
-                )
-                idx = tuple(
-                    np.broadcast_to(np.asarray(o, dtype=np.int64), (n,))
-                    for o in offs[ref_id]
-                )
-                return np.ravel_multi_index(idx, shape)
-
-            wflats = {
-                key: flat_of(info.ref0)
-                for key, info in self.regions.items()
-            }
-            for name, keys in self.written_arrays.items():
-                for a in range(len(keys)):
-                    for b in range(a + 1, len(keys)):
-                        if np.intersect1d(
-                            wflats[keys[a]], wflats[keys[b]]
-                        ).size:
-                            raise _Bail("write regions overlap")
-            for ref_id in self.disjoint_reads:
-                symbol, _forms = self.ref_forms[ref_id]
-                rflat = flat_of(ref_id)
-                for key in self.written_arrays[symbol.name]:
-                    if np.intersect1d(rflat, wflats[key]).size:
-                        raise _Bail("read overlaps writes across lanes")
+        offs = self._lane_offsets({None: {self.v: iv}}, sub_env)
+        self._check_disjoint(offs, n)
         ctxs: dict[int, _InnerCtx] = {}
         with np.errstate(over="ignore", invalid="ignore"):
             for r in participants:
@@ -1727,24 +1724,55 @@ class InnerPlan:
         return commit
 
 
-class _ColCtx(_Ctx):
-    """Column-lane evaluation: one lane per outer-loop iteration
-    (column), statements processed in sequential order with the inner
-    loop unrolled step by step — exact because each column reads and
-    writes only its own data (checked statically)."""
+class _ColumnCtx(_Ctx):
+    """Evaluation over the columns of a column-style nest: one lane per
+    outer iteration, each column executed by its owner rank."""
 
-    def __init__(self, plan: "ColumnPlan", jvec: np.ndarray, env,
+    def __init__(self, plan: "_NestPlan", jvec: np.ndarray, env,
                  exec_col: np.ndarray, cols_of: dict[int, np.ndarray]):
         self.plan = plan
         self.jvec = jvec
-        self._env = env
+        self.env = env
         self.nj = jvec.size
         self.exec_col = exec_col
         self.cols_of = cols_of
+        self.scalar_cache: dict[str, tuple] = {}
+
+    def owner_scalar(self, name: str) -> tuple:
+        """A scalar the nest does not write, one lane per column, read
+        from the column owner's copy; an invalid copy would fetch per
+        iteration, so the takeover declines."""
+        cached = self.scalar_cache.get(name)
+        if cached is None:
+            memories = self.plan.sim.memories
+            values = {}
+            for r in self.cols_of:
+                if not memories[r].scalar_is_valid(name):
+                    raise _Bail(f"scalar {name} read would fetch")
+                values[r] = memories[r].scalars[name]
+            kinds = {isinstance(v, int) for v in values.values()}
+            if len(kinds) != 1:
+                raise _Bail(f"scalar {name} mixes types across ranks")
+            is_int = kinds.pop()
+            vec = np.empty(self.nj, dtype=np.int64 if is_int else np.float64)
+            for r, cols in self.cols_of.items():
+                vec[cols] = values[r]
+            cached = (vec, is_int)
+            self.scalar_cache[name] = cached
+        return cached
+
+
+class _ColCtx(_ColumnCtx):
+    """Column-lane evaluation: statements processed in sequential order
+    with the inner loop unrolled step by step — exact because each
+    column reads and writes only its own data (checked statically)."""
+
+    def __init__(self, plan: "ColumnPlan", jvec: np.ndarray, env,
+                 exec_col: np.ndarray, cols_of: dict[int, np.ndarray]):
+        super().__init__(plan, jvec, env, exec_col, cols_of)
         self._i: int | None = None
         self.tables: dict[str, tuple] = {}
         self.scalar_shadow: dict[str, np.ndarray] = {}
-        self.scalar_cache: dict[str, tuple] = {}
 
     def loop_vec(self, name: str):
         if name == self.plan.j:
@@ -1752,10 +1780,6 @@ class _ColCtx(_Ctx):
         if name == self.plan.i and self._i is not None:
             return self._i
         return None
-
-    @property
-    def env(self):
-        return self._env
 
     def _array(self, name: str) -> tuple:
         t = self.tables.get(name)
@@ -1788,45 +1812,26 @@ class _ColCtx(_Ctx):
 
     def _row(self, ref: ArrayElemRef) -> int:
         plan = self.plan
-        jdim = plan.jdims[ref.symbol.name]
-        form = plan.row_form_of(ref, 1 - jdim)
         vec_vars = {} if self._i is None else {plan.i: self._i}
-        idx = _affine_vec(form, vec_vars, self._env)
+        idx = _affine_vec(plan.row_forms[ref.ref_id], vec_vars, self.env)
         if isinstance(idx, np.ndarray):
             raise _Bail("row subscript not scalar")
-        return _bounds_checked_offset(int(idx), ref.symbol, 1 - jdim)
+        row_dim = 1 - plan.jdims[ref.symbol.name]
+        return _bounds_checked_offset(int(idx), ref.symbol, row_dim)
 
     def read_scalar(self, ref: ScalarRef):
         name = ref.symbol.name
-        if name in self._env:
-            v = self._env[name]
+        if name in self.env:
+            v = self.env[name]
             return v, isinstance(v, int)
         vec = self.scalar_shadow.get(name)
         if vec is not None:
             return vec, vec.dtype.kind in "bi"
-        if name in self.plan.written_scalars:
+        if name in self.plan.nest.written_scalars:
             # read before the first in-column write: the value would
             # flow across columns
             raise _Bail(f"scalar {name} read before its definition")
-        cached = self.scalar_cache.get(name)
-        if cached is not None:
-            return cached
-        memories = self.plan.sim.memories
-        values = {}
-        for r in self.cols_of:
-            if not memories[r].scalar_is_valid(name):
-                raise _Bail(f"scalar {name} read would fetch")
-            values[r] = memories[r].scalars[name]
-        kinds = {isinstance(v, int) for v in values.values()}
-        if len(kinds) != 1:
-            raise _Bail(f"scalar {name} mixes types across ranks")
-        is_int = kinds.pop()
-        vec = np.empty(self.nj, dtype=np.int64 if is_int else np.float64)
-        for r, cols in self.cols_of.items():
-            vec[cols] = values[r]
-        result = (vec, is_int)
-        self.scalar_cache[name] = result
-        return result
+        return self.owner_scalar(name)
 
     def read_array(self, ref: ArrayElemRef):
         w, v, written, _joff = self._array(ref.symbol.name)
@@ -1846,10 +1851,124 @@ class _ColCtx(_Ctx):
             written[row] = True
         else:
             self.scalar_shadow[st.name] = vec
-            self.scalar_cache.pop(st.name, None)
 
 
-class ColumnPlan:
+class _NestPlan:
+    """What :class:`ColumnPlan` and :class:`TriangularPlan` share: the
+    :class:`_Nest` shape, one :class:`_Step` per statement, and the
+    column layout, owner stores and invalidations of a takeover."""
+
+    #: which :class:`_Nest` rules apply: the flattened (triangular) nest
+    flat = False
+
+    def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
+        sim = slab.sim
+        self.sim = sim
+        self.fast = slab.fast
+        self.loop = loop
+        nest = _Nest(
+            loop, sim.compiled.executors, sim._reduction_updates,
+            sim.grid.rank, flat=self.flat,
+            runs_everywhere=sim._runs_everywhere,
+        )
+        if nest.pos_form is None:
+            raise _Bail("no point owner position")
+        if nest.inner.stmt_id in sim._reductions_by_loop:
+            raise _Bail("inner loop combines a reduction")
+        self.nest = nest
+        self.j, self.i, self.inner = nest.j, nest.i, nest.inner
+        self.pre, self.body, self.post = (
+            [self._step(s) for s in stmts]
+            for stmts in (nest.pre, nest.body, nest.post)
+        )
+
+    def _step(self, stmt: AssignStmt) -> _Step:
+        dt = self.fast._dt.get(stmt.stmt_id)
+        if dt is None:
+            raise _Bail("statement not lowered")
+        st = _Step(stmt, dt)
+        st.kind = "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
+        st.repl = stmt.stmt_id in self.nest.repl
+        return st
+
+    def _place(self, low: int, step: int, nj: int, env) -> tuple:
+        """Lay out the ``nj`` columns: their ``j`` values, executor
+        positions and executing ranks, and each rank's columns."""
+        sim = self.sim
+        jvec = low + step * np.arange(nj, dtype=np.int64)
+        pos = _affine_vec(self.nest.pos_form, {self.j: jvec}, env)
+        pos = np.asarray(pos, dtype=np.int64)
+        if pos.ndim == 0:
+            pos = np.full(nj, int(pos), dtype=np.int64)
+        fmt = self.nest.pos_fmt
+        if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= fmt.extent):
+            raise _Bail("executor position out of range")
+        owner = np.asarray(self.fast.etables.owner_table(fmt), dtype=np.int64)
+        rank_of = np.asarray(
+            [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
+            dtype=np.int64,
+        )
+        exec_col = rank_of[owner[pos]]
+        cols_of = {
+            int(r): np.nonzero(exec_col == r)[0]
+            for r in np.unique(exec_col)
+        }
+        return jvec, pos, exec_col, cols_of
+
+    def _bound(self, expr, env):
+        """An inner bound, evaluated once (checked invariant) and
+        uncharged, exactly like the per-iteration walker's
+        ``eval_bound``."""
+        try:
+            return self.fast.eval_bound(expr, env)
+        except _BOUND_ERRORS:
+            raise _Bail("inner bounds not evaluable") from None
+
+    def _inner_step(self, env):
+        si = 1 if self.inner.step is None else self._bound(self.inner.step, env)
+        if si == 0:
+            raise _Bail("zero inner step")
+        return si
+
+    def _commit_owned(self, name: str, idx: tuple, values: np.ndarray,
+                      owners: np.ndarray, ranks, weight: int = 1) -> None:
+        """Each lane's owner stores its value at element ``idx`` of the
+        lane; every other rank's copy of the element is invalidated.
+        Each lane counts ``weight`` write instances."""
+        memories = self.sim.memories
+        for r in ranks:
+            lanes = np.nonzero(owners == r)[0]
+            if not lanes.size:
+                continue
+            sel = tuple(o[lanes] for o in idx)
+            memory = memories[r]
+            memory.arrays[name][sel] = values[lanes]
+            memory.valid[name][sel] = True
+            memory.versions[name] += lanes.size * weight
+        if self.sim.grid.size > 1:
+            for r2, memory in enumerate(memories):
+                lanes = np.nonzero(owners != r2)[0]
+                if not lanes.size:
+                    continue
+                memory.valid[name][tuple(o[lanes] for o in idx)] = False
+                memory.versions[name] += lanes.size * weight
+
+    def _commit_owner_scalar(self, name: str, colvec: np.ndarray,
+                             cols_of: dict, last_rank: int) -> None:
+        """Every column's owner stores its own last value of a scalar
+        (``colvec``: one value per column) — the stored value persists
+        even once a later column invalidates it; only the last column's
+        owner ends valid."""
+        memories = self.sim.memories
+        for r, cols in cols_of.items():
+            memories[r].scalar_store(name, colvec[cols[-1]].item())
+        if self.sim.grid.size > 1:
+            for r2, memory in enumerate(memories):
+                if r2 != last_rank:
+                    memory.scalar_invalidate(name)
+
+
+class ColumnPlan(_NestPlan):
     """Column-wise execution of an outer loop wrapping one sequential
     inner loop: the outer iterations (columns) are the lanes; the inner
     loop runs step by step with each statement vectorized across all
@@ -1859,147 +1978,30 @@ class ColumnPlan:
     program order."""
 
     def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
-        sim = slab.sim
-        fast = slab.fast
-        self.sim = sim
-        self.fast = fast
-        self.loop = loop
-        self.j = loop.var.name
-        if sim.grid.rank != 1:
-            raise _Bail("grid is not one-dimensional")
-        inner = None
-        pre: list[_Step] = []
-        post: list[_Step] = []
-
-        def make_step(stmt) -> _Step:
-            dt = fast._dt.get(stmt.stmt_id)
-            if dt is None:
-                raise _Bail("statement not lowered")
-            if stmt.stmt_id in sim._reduction_updates:
-                raise _Bail("reduction update in body")
-            st = _Step(stmt, dt)
-            st.kind = "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
-            return st
-
-        for stmt in loop.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if isinstance(stmt, LoopStmt):
-                if inner is not None:
-                    raise _Bail("more than one inner loop")
-                inner = stmt
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in body")
-            (pre if inner is None else post).append(make_step(stmt))
-        if inner is None:
-            raise _Bail("no inner loop")
-        if inner.stmt_id in sim._reductions_by_loop:
-            raise _Bail("inner loop combines a reduction")
-        self.inner = inner
-        self.i = inner.var.name
-        body: list[_Step] = []
-        for stmt in inner.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in inner body")
-            body.append(make_step(stmt))
-        self.pre, self.body, self.post = pre, body, post
-        all_steps = pre + body + post
-        if not all_steps:
-            raise _Bail("empty body")
-        # canonical executor position (identical across statements)
-        self.pos_form = None
-        self.pos_fmt = None
+        super().__init__(slab, loop)
         #: P-parametric charge structure of the latest prepare (None
         #: until prepared, or when no closed form applies)
         self.p_charge: PColumnCharge | None = None
-        canon = _MISSING
-        for st in all_steps:
-            info = sim.compiled.executors.get(st.sid)
-            if info is None or info.kind != "owner" or len(info.position) != 1:
-                raise _Bail("executor is not a 1-D owner position")
-            dim = info.position[0]
-            if dim.kind != "pos" or dim.form is None or dim.fmt is None:
-                raise _Bail("executor position is not a point")
-            c = _canon_form(dim.form)
-            if canon is _MISSING:
-                canon = c
-                self.pos_form = dim.form
-                self.pos_fmt = dim.fmt
-            elif c != canon:
-                raise _Bail("executor position differs across statements")
-        # written names; column discipline per array
-        self.written_scalars: set[str] = set()
-        self.written_arrays: set[str] = set()
-        self.jdims: dict[str, int] = {}
+        self.jdims = self.nest.jdims
         self.array_symbols: dict[str, Any] = {}
-        self._row_forms: dict[int, Any] = {}
-        for st in all_steps:
-            if st.kind == "scalar":
-                self.written_scalars.add(st.name)
-            else:
-                self.written_arrays.add(st.name)
+        #: ref_id -> subscript form of the row (non-column) dimension
+        self.row_forms: dict[int, Any] = {}
+        for st in self.pre + self.body + self.post:
             refs = [st.stmt.lhs] if st.kind == "array" else []
             refs.extend(
                 r for r in st.rhs.refs() if isinstance(r, ArrayElemRef)
             )
             for ref in refs:
-                self._register_ref(ref)
-        # the executor position may only depend on j (and constants)
-        for sym, _c in self.pos_form.coeffs:
-            if sym.value is None and sym.name != self.j:
-                if not sym.is_loop_var or sym.name in self.written_scalars:
-                    raise _Bail("executor position not a column function")
-        # inner bounds must not change during the takeover
-        for bound in (inner.low, inner.high, inner.step):
-            if bound is None:
-                continue
-            for ref in bound.refs():
-                if isinstance(ref, ScalarRef) and (
-                    ref.symbol.name in (self.j, self.i)
-                    or ref.symbol.name in self.written_scalars
-                ):
-                    raise _Bail("inner bounds vary during the takeover")
-
-    def _register_ref(self, ref: ArrayElemRef) -> None:
-        name = ref.symbol.name
-        if len(ref.subscripts) != 2:
-            raise _Bail("only rank-2 arrays supported column-wise")
-        forms = [affine_form(s) for s in ref.subscripts]
-        if any(f is None for f in forms):
-            raise _Bail("non-affine subscript")
-        jdim = None
-        for d, f in enumerate(forms):
-            c = _canon_form(f)
-            if c == (0, ((self.j, 1),)):
-                if jdim is not None:
-                    raise _Bail("two column dimensions")
-                jdim = d
-            elif any(nm == self.j for nm, _ in c[1]):
-                raise _Bail("mixed column subscript")
-        if jdim is None:
-            raise _Bail(f"{name}: reference has no column dimension")
-        if self.jdims.setdefault(name, jdim) != jdim:
-            raise _Bail(f"{name}: inconsistent column dimension")
-        self.array_symbols.setdefault(name, ref.symbol)
-        row = forms[1 - jdim]
-        for sym, _c in row.coeffs:
-            if sym.value is not None:
-                continue
-            if sym.name == self.i:
-                continue
-            if sym.is_loop_var and sym.name != self.j:
-                continue  # env-resolved outer index
-            raise _Bail(f"row subscript depends on scalar {sym.name}")
-        self._row_forms[ref.ref_id] = row
-
-    def row_form_of(self, ref: ArrayElemRef, row_dim: int):
-        form = self._row_forms.get(ref.ref_id)
-        if form is None:
-            raise _Bail("unregistered reference")
-        return form
+                name = ref.symbol.name
+                self.array_symbols.setdefault(name, ref.symbol)
+                row = affine_form(ref.subscripts[1 - self.jdims[name]])
+                for sym, _c in row.coeffs:
+                    # the inner index, or an env-resolved outer index
+                    if sym.value is None and not sym.is_loop_var:
+                        raise _Bail(
+                            f"row subscript depends on scalar {sym.name}"
+                        )
+                self.row_forms[ref.ref_id] = row
 
     # ------------------------------------------------------------------
 
@@ -2007,48 +2009,18 @@ class ColumnPlan:
         nj = slab_trip_count(low, high, step)
         sim = self.sim
         if nj == 0:
-            def commit_empty():
-                pass
-            return commit_empty
-        jvec = low + step * np.arange(nj, dtype=np.int64)
-        pos = _affine_vec(self.pos_form, {self.j: jvec}, env)
-        pos = np.asarray(pos, dtype=np.int64)
-        if pos.ndim == 0:
-            pos = np.full(nj, int(pos), dtype=np.int64)
-        fmt = self.pos_fmt
-        if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= fmt.extent):
-            raise _Bail("executor position out of range")
-        owner = np.asarray(self.fast.etables.owner_table(fmt), dtype=np.int64)
-        coord = owner[pos]
-        rank_of = np.asarray(
-            [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
-            dtype=np.int64,
-        )
-        exec_col = rank_of[coord]
-        cols_of = {
-            int(r): np.nonzero(exec_col == r)[0]
-            for r in np.unique(exec_col)
-        }
-        # inner bounds: evaluated once (checked invariant), uncharged,
-        # exactly like the per-iteration walker's eval_bound
-        try:
-            li = self.fast.eval_bound(self.inner.low, env)
-            hi = self.fast.eval_bound(self.inner.high, env)
-            si = (
-                self.fast.eval_bound(self.inner.step, env)
-                if self.inner.step is not None
-                else 1
-            )
-        except _BOUND_ERRORS:
-            raise _Bail("inner bounds not evaluable") from None
-        if si == 0:
-            raise _Bail("zero inner step")
+            return _commit_nothing
+        jvec, pos, exec_col, cols_of = self._place(low, step, nj, env)
+        li = self._bound(self.inner.low, env)
+        hi = self._bound(self.inner.high, env)
+        si = self._inner_step(env)
         nsteps = slab_trip_count(li, hi, si)
         # the P-parametric charge structure of this takeover: valid
         # whenever the executor position is BLOCK-distributed over the
         # grid dimension and (by construction) affine in the column
         # index, i.e. the per-rank column counts are slab_owned_trips
         # evaluated at the concrete P
+        fmt = self.nest.pos_fmt
         charge_form = None
         if fmt.kind == "block" and fmt.procs == sim.grid.shape[0]:
             charge_form = PColumnCharge(
@@ -2074,7 +2046,6 @@ class ColumnPlan:
                 ctx.process(st)
 
         def commit():
-            memories = sim.memories
             clocks = sim.clocks
             seq = clocks.cat([
                 clocks.tape([st.dt for st in self.pre]),
@@ -2100,48 +2071,20 @@ class ColumnPlan:
                         clocks.charge_compute_tape(
                             r, clocks.tile(seq, cols.size)
                         )
-            many = sim.grid.size > 1
             for name, (w, _v, written, joff) in ctx.tables.items():
                 if not written.any():
                     continue
-                jdim = self.jdims[name]
                 rws, cs = np.nonzero(written)
-                for r, cols in cols_of.items():
-                    sel = exec_col[cs] == r
-                    if not sel.any():
-                        continue
-                    rsel, csel = rws[sel], cs[sel]
-                    memory = memories[r]
-                    data, valid = memory.arrays[name], memory.valid[name]
-                    if jdim == 1:
-                        data[rsel, joff[csel]] = w[rsel, csel]
-                        valid[rsel, joff[csel]] = True
-                    else:
-                        data[joff[csel], rsel] = w[rsel, csel]
-                        valid[joff[csel], rsel] = True
-                    memory.versions[name] += int(sel.sum())
-                if many:
-                    for r2, memory in enumerate(memories):
-                        sel = exec_col[cs] != r2
-                        if not sel.any():
-                            continue
-                        rsel, csel = rws[sel], cs[sel]
-                        valid = memory.valid[name]
-                        if jdim == 1:
-                            valid[rsel, joff[csel]] = False
-                        else:
-                            valid[joff[csel], rsel] = False
-                        memory.versions[name] += int(sel.sum())
-            # every column's owner stores its own last value (the stored
-            # value persists even once a later column invalidates it)
+                idx = (
+                    (rws, joff[cs]) if self.jdims[name] == 1
+                    else (joff[cs], rws)
+                )
+                self._commit_owned(
+                    name, idx, w[rws, cs], exec_col[cs], cols_of
+                )
             last_rank = int(exec_col[-1])
             for name, vec in ctx.scalar_shadow.items():
-                for r, cols in cols_of.items():
-                    memories[r].scalar_store(name, vec[cols[-1]].item())
-                if many:
-                    for r2, memory in enumerate(memories):
-                        if r2 != last_rank:
-                            memory.scalar_invalidate(name)
+                self._commit_owner_scalar(name, vec, cols_of, last_rank)
             if self.i not in env:
                 # the walker's per-iteration epilogue would have left
                 # the inner index at its final value
@@ -2153,7 +2096,7 @@ class ColumnPlan:
         return commit
 
 
-class _TriCtx(_Ctx):
+class _TriCtx(_ColumnCtx):
     """Flattened-lane evaluation of one triangular/imperfect nest: the
     prologue and epilogue run with one lane per outer iteration
     (column), the inner body with one lane per (outer, inner) instance.
@@ -2165,16 +2108,11 @@ class _TriCtx(_Ctx):
 
     def __init__(self, plan: "TriangularPlan", jvec, iflat, jflat,
                  widths, env, exec_col, cols_of, offs):
-        self.plan = plan
-        self.jvec = jvec
+        super().__init__(plan, jvec, env, exec_col, cols_of)
         self.iflat = iflat
         self.jflat = jflat
         self.widths = widths
-        self._env = env
-        self.exec_col = exec_col
-        self.cols_of = cols_of
         self.offs = offs
-        self.nj = jvec.size
         self.nflat = iflat.size
         #: owner rank of each flat (body) lane
         self.rank_flat = np.repeat(exec_col, widths)
@@ -2185,7 +2123,6 @@ class _TriCtx(_Ctx):
         self.cur_repl = False
         #: phase -> scalar name -> lane vector of that phase
         self.scalar_shadow: tuple[dict, dict, dict] = ({}, {}, {})
-        self.scalar_cache: dict[str, tuple] = {}
         self.repl_cache: dict[str, tuple] = {}
         self.array_shadow: dict[tuple, np.ndarray] = {}
         self.tape: tuple[list, list, list] = ([], [], [])
@@ -2203,10 +2140,6 @@ class _TriCtx(_Ctx):
             return self.jvec
         return None
 
-    @property
-    def env(self):
-        return self._env
-
     def _expand(self, vec: np.ndarray, from_phase: int) -> np.ndarray:
         """Carry a scalar's per-phase value forward within each column:
         prologue values repeat across the column's body lanes; body
@@ -2223,8 +2156,8 @@ class _TriCtx(_Ctx):
 
     def read_scalar(self, ref: ScalarRef):
         name = ref.symbol.name
-        if name in self._env:
-            v = self._env[name]
+        if name in self.env:
+            v = self.env[name]
             return v, isinstance(v, int)
         wp = self.plan.scalar_phase.get(name)
         if wp is not None:
@@ -2261,24 +2194,7 @@ class _TriCtx(_Ctx):
                 cached = (vals[0], kinds.pop())
                 self.repl_cache[name] = cached
             return cached
-        cached = self.scalar_cache.get(name)
-        if cached is None:
-            memories = self.plan.sim.memories
-            values = {}
-            for r in self.cols_of:
-                if not memories[r].scalar_is_valid(name):
-                    raise _Bail(f"scalar {name} read would fetch")
-                values[r] = memories[r].scalars[name]
-            kinds = {isinstance(v, int) for v in values.values()}
-            if len(kinds) != 1:
-                raise _Bail(f"scalar {name} mixes types across ranks")
-            is_int = kinds.pop()
-            vec = np.empty(self.nj, dtype=np.int64 if is_int else np.float64)
-            for r, cols in self.cols_of.items():
-                vec[cols] = values[r]
-            cached = (vec, is_int)
-            self.scalar_cache[name] = cached
-        vec, is_int = cached
+        vec, is_int = self.owner_scalar(name)
         if self.phase == self.BODY:
             vec = np.repeat(vec, self.widths)
         return vec, is_int
@@ -2326,7 +2242,7 @@ class _TriCtx(_Ctx):
         self.tape[self.phase].append(st.dt)
 
 
-class TriangularPlan:
+class TriangularPlan(_NestPlan, _WriteRegions):
     """One takeover for a whole imperfect nest whose inner bounds may be
     affine in the outer variable: per-column slab widths vary with the
     outer index (triangular nests).  The outer iterations are columns
@@ -2337,103 +2253,18 @@ class TriangularPlan:
     runtime-dependent (validity, bounds, widths, region overlap) bails
     to tier 2 before any mutation."""
 
+    flat = True
+
     def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
-        sim = slab.sim
-        fast = slab.fast
-        self.sim = sim
-        self.fast = fast
-        self.loop = loop
-        self.j = loop.var.name
-        if sim.grid.rank != 1:
-            raise _Bail("grid is not one-dimensional")
-        inner = None
-        pre: list[_Step] = []
-        post: list[_Step] = []
-
-        def make_step(stmt) -> _Step:
-            dt = fast._dt.get(stmt.stmt_id)
-            if dt is None:
-                raise _Bail("statement not lowered")
-            if stmt.stmt_id in sim._reduction_updates:
-                raise _Bail("reduction update in body")
-            st = _Step(stmt, dt)
-            st.kind = (
-                "array" if isinstance(stmt.lhs, ArrayElemRef) else "scalar"
-            )
-            info = sim.compiled.executors.get(stmt.stmt_id)
-            st.repl = sim._runs_everywhere(stmt) or _replicated_exec(info)
-            if st.repl:
-                if st.kind == "array":
-                    raise _Bail("replicated statement writes an array")
-                for ref in stmt.rhs.refs():
-                    if isinstance(ref, ArrayElemRef):
-                        raise _Bail("replicated statement reads an array")
-            return st
-
-        for stmt in loop.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if isinstance(stmt, LoopStmt):
-                if inner is not None:
-                    raise _Bail("more than one inner loop")
-                inner = stmt
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in body")
-            (pre if inner is None else post).append(make_step(stmt))
-        if inner is None:
-            raise _Bail("no inner loop")
-        if inner.stmt_id in sim._reductions_by_loop:
-            raise _Bail("inner loop combines a reduction")
-        self.inner = inner
-        self.i = inner.var.name
-        body: list[_Step] = []
-        for stmt in inner.body:
-            if isinstance(stmt, ContinueStmt):
-                continue
-            if not isinstance(stmt, AssignStmt):
-                raise _Bail("non-assign in inner body")
-            body.append(make_step(stmt))
-        if not body:
-            raise _Bail("empty inner body")
-        self.pre, self.body, self.post = pre, body, post
-        phased = [
-            (st, ph)
-            for ph, steps in ((0, pre), (1, body), (2, post))
-            for st in steps
-        ]
-        # canonical executor position of the owner-positioned statements
-        # (identical across them, a function of j only); replicated
-        # statements run on every rank and carry no position
-        self.pos_form = None
-        self.pos_fmt = None
-        canon = _MISSING
-        for st, _ph in phased:
-            if st.repl:
-                continue
-            info = sim.compiled.executors.get(st.sid)
-            if info is None or info.kind != "owner" or len(info.position) != 1:
-                raise _Bail("executor is not a 1-D owner position")
-            dim = info.position[0]
-            if dim.kind != "pos" or dim.form is None or dim.fmt is None:
-                raise _Bail("executor position is not a point")
-            c = _canon_form(dim.form)
-            if canon is _MISSING:
-                canon = c
-                self.pos_form = dim.form
-                self.pos_fmt = dim.fmt
-            elif c != canon:
-                raise _Bail("executor position differs across statements")
-        if canon is _MISSING:
-            raise _Bail("no owner-positioned statement")
-        # written names; write regions (body only) like InnerPlan's
+        super().__init__(slab, loop)
+        self._init_regions()
         self.scalar_phase: dict[str, int] = {}
         self.scalar_repl: dict[str, bool] = {}
-        self.regions: dict[tuple, _WrittenArray] = {}
-        self.written_arrays: dict[str, list[tuple]] = {}
-        self.read_region: dict[int, tuple] = {}
-        self.disjoint_reads: list[int] = []
-        self.ref_forms: dict[int, tuple] = {}
+        phased = [
+            (st, ph)
+            for ph, steps in ((0, self.pre), (1, self.body), (2, self.post))
+            for st in steps
+        ]
         for st, ph in phased:
             if st.kind == "scalar":
                 got = self.scalar_phase.setdefault(st.name, ph)
@@ -2443,75 +2274,25 @@ class TriangularPlan:
                 if was != st.repl:
                     raise _Bail("scalar written by mixed executor kinds")
                 continue
-            if ph != 1:
-                raise _Bail("array written outside the inner loop")
-            forms = [affine_form(s) for s in st.stmt.lhs.subscripts]
-            if any(f is None for f in forms):
-                raise _Bail("non-affine store subscript")
-            for f in forms:
-                _check_form_resolvable(f, (self.i, self.j))
+            # arrays are written in the inner body only (the nest shape)
+            forms = self._forms(st.stmt.lhs)
             canon = tuple(_canon_form(f) for f in forms)
-            key = (st.name, canon)
-            info = self.regions.get(key)
-            if info is None:
-                if not any(
-                    f.coeff(sym) != 0
-                    for f in forms
-                    for sym in f.symbols
-                    if sym.name == self.i and sym.value is None
-                ):
-                    raise _Bail("store not injective in the inner var")
-                info = _WrittenArray(
-                    st.stmt.lhs.symbol, forms, canon, st.stmt.lhs.ref_id
-                )
-                self.regions[key] = info
-                self.written_arrays.setdefault(st.name, []).append(key)
-            info.write_steps.append(ph)  # phase, only the count matters
-            st.region_key = key
-            self.ref_forms[st.stmt.lhs.ref_id] = (st.stmt.lhs.symbol, forms)
+            if (st.name, canon) not in self.regions and not any(
+                self.i in _free_names(f) for f in forms
+            ):
+                raise _Bail("store not injective in the inner var")
+            self._add_write(st, ph, forms, canon, lanes=True)
         for st, ph in phased:
             for ref in st.rhs.refs():
-                if not isinstance(ref, ArrayElemRef):
-                    continue
-                name = ref.symbol.name
-                forms = [affine_form(s) for s in ref.subscripts]
-                if any(f is None for f in forms):
-                    raise _Bail("non-affine read subscript")
-                vars_ok = (self.i, self.j) if ph == 1 else (self.j,)
-                for f in forms:
-                    _check_form_resolvable(f, vars_ok)
-                    if ph != 1 and any(
-                        sym.name == self.i and sym.value is None
-                        for sym in _form_symbols(f)
-                    ):
-                        raise _Bail("inner index outside the inner loop")
-                if name in self.written_arrays:
-                    if ph != 1:
-                        raise _Bail("written array read outside the body")
-                    canon = tuple(_canon_form(f) for f in forms)
-                    key = (name, canon)
-                    if key in self.regions:
-                        self.read_region[ref.ref_id] = key
-                    else:
-                        self.disjoint_reads.append(ref.ref_id)
-                self.ref_forms[ref.ref_id] = (ref.symbol, forms)
-        # the executor position may only depend on j (and constants)
-        for sym, _c in self.pos_form.coeffs:
-            if sym.value is None and sym.name != self.j:
-                if not sym.is_loop_var or sym.name in self.scalar_phase:
-                    raise _Bail("executor position not a column function")
-        # inner bounds: affine in j (triangular), free of the inner
-        # variable and of anything the takeover writes
-        self.low_form = affine_form(inner.low)
-        self.high_form = affine_form(inner.high)
-        if self.low_form is None or self.high_form is None:
-            raise _Bail("inner bounds not affine")
-        for form in (self.low_form, self.high_form):
-            for sym, _c in form.coeffs:
-                if sym.value is None and (
-                    sym.name == self.i or sym.name in self.scalar_phase
-                ):
-                    raise _Bail("inner bounds vary during the takeover")
+                if isinstance(ref, ArrayElemRef):
+                    self._add_read(ref, self._forms(ref), lanes=ph == 1)
+
+    def _forms(self, ref: ArrayElemRef) -> list:
+        # affine per the nest shape; ``i``-free outside the inner body
+        forms = [affine_form(s) for s in ref.subscripts]
+        for f in forms:
+            _check_form_resolvable(f, (self.i, self.j))
+        return forms
 
     # ------------------------------------------------------------------
 
@@ -2519,46 +2300,16 @@ class TriangularPlan:
         nj = slab_trip_count(low, high, step)
         sim = self.sim
         if nj == 0:
-            def commit_empty():
-                pass
-            return commit_empty
-        jvec = low + step * np.arange(nj, dtype=np.int64)
-        pos = _affine_vec(self.pos_form, {self.j: jvec}, env)
-        pos = np.asarray(pos, dtype=np.int64)
-        if pos.ndim == 0:
-            pos = np.full(nj, int(pos), dtype=np.int64)
-        fmt = self.pos_fmt
-        if pos.size and (int(pos.min()) < 0 or int(pos.max()) >= fmt.extent):
-            raise _Bail("executor position out of range")
-        owner = np.asarray(self.fast.etables.owner_table(fmt), dtype=np.int64)
-        coord = owner[pos]
-        rank_of = np.asarray(
-            [sim.grid.rank_of((c,)) for c in range(sim.grid.shape[0])],
-            dtype=np.int64,
-        )
-        exec_col = rank_of[coord]
-        cols_of = {
-            int(r): np.nonzero(exec_col == r)[0]
-            for r in np.unique(exec_col)
-        }
+            return _commit_nothing
+        jvec, _pos, exec_col, cols_of = self._place(low, step, nj, env)
         # per-column inner bounds — the triangular part
-        try:
-            si = (
-                self.fast.eval_bound(self.inner.step, env)
-                if self.inner.step is not None
-                else 1
-            )
-        except _BOUND_ERRORS:
-            raise _Bail("inner bounds not evaluable") from None
-        if si == 0:
-            raise _Bail("zero inner step")
-        si = int(si)
+        si = int(self._inner_step(env))
         jvar = {self.j: jvec}
         li = np.broadcast_to(
-            np.asarray(_affine_vec(self.low_form, jvar, env)), (nj,)
+            np.asarray(_affine_vec(self.nest.low_form, jvar, env)), (nj,)
         ).astype(np.int64)
         hi = np.broadcast_to(
-            np.asarray(_affine_vec(self.high_form, jvar, env)), (nj,)
+            np.asarray(_affine_vec(self.nest.high_form, jvar, env)), (nj,)
         ).astype(np.int64)
         widths = slab_trip_count(li, hi, si)
         if bool((widths == 0).any()):
@@ -2571,66 +2322,10 @@ class TriangularPlan:
         iflat = np.repeat(li, widths) + si * (
             np.arange(nflat, dtype=np.int64) - np.repeat(seg_start, widths)
         )
-        # lane offsets for every reference
-        offs: dict[int, tuple] = {}
-        by_key: dict[tuple, tuple] = {}
-        body_ids = {
-            r.ref_id
-            for st in self.body
-            for r in ([st.stmt.lhs] if st.kind == "array" else [])
-            + [x for x in st.rhs.refs() if isinstance(x, ArrayElemRef)]
-        }
-        for ref_id, (symbol, forms) in self.ref_forms.items():
-            in_body = ref_id in body_ids
-            key = (
-                symbol.name,
-                in_body,
-                tuple(_canon_form(f) for f in forms),
-            )
-            got = by_key.get(key)
-            if got is None:
-                vec_vars = (
-                    {self.i: iflat, self.j: jflat}
-                    if in_body
-                    else {self.j: jvec}
-                )
-                got = tuple(
-                    _bounds_checked_offset(
-                        _affine_vec(f, vec_vars, env), symbol, d
-                    )
-                    for d, f in enumerate(forms)
-                )
-                by_key[key] = got
-            offs[ref_id] = got
-        if len(self.regions) > 1 or self.disjoint_reads:
-            def flat_of(ref_id):
-                symbol, _forms = self.ref_forms[ref_id]
-                shape = tuple(
-                    symbol.extent(d) for d in range(symbol.rank)
-                )
-                idx = tuple(
-                    np.broadcast_to(np.asarray(o, dtype=np.int64), (nflat,))
-                    for o in offs[ref_id]
-                )
-                return np.ravel_multi_index(idx, shape)
-
-            wflats = {
-                key: flat_of(info.ref0)
-                for key, info in self.regions.items()
-            }
-            for name, keys in self.written_arrays.items():
-                for a in range(len(keys)):
-                    for b in range(a + 1, len(keys)):
-                        if np.intersect1d(
-                            wflats[keys[a]], wflats[keys[b]]
-                        ).size:
-                            raise _Bail("write regions overlap")
-            for ref_id in self.disjoint_reads:
-                symbol, _forms = self.ref_forms[ref_id]
-                rflat = flat_of(ref_id)
-                for key in self.written_arrays[symbol.name]:
-                    if np.intersect1d(rflat, wflats[key]).size:
-                        raise _Bail("read overlaps writes across lanes")
+        offs = self._lane_offsets(
+            {True: {self.i: iflat, self.j: jflat}, False: jvar}, env
+        )
+        self._check_disjoint(offs, nflat)
         ctx = _TriCtx(
             self, jvec, iflat, jflat, widths, env, exec_col, cols_of, offs
         )
@@ -2675,33 +2370,15 @@ class TriangularPlan:
                 seq = clocks.cat(parts) if parts else own[0][:0]
                 if seq.size:
                     clocks.charge_compute_tape(r, seq)
-            many = sim.grid.size > 1
-            rank_flat = ctx.rank_flat
             for key, info in self.regions.items():
-                name = key[0]
-                off = offs[info.ref0]
                 offv = tuple(
                     np.broadcast_to(np.asarray(o, dtype=np.int64), (nflat,))
-                    for o in off
+                    for o in offs[info.ref0]
                 )
-                nw = len(info.write_steps)
-                shadow = ctx.array_shadow[key]
-                for r in cols_of:
-                    lanes = np.nonzero(rank_flat == r)[0]
-                    sel = tuple(o[lanes] for o in offv)
-                    memory = memories[r]
-                    memory.arrays[name][sel] = shadow[lanes]
-                    memory.valid[name][sel] = True
-                    memory.versions[name] += lanes.size * nw
-                if many:
-                    # every write instance invalidates each non-owner
-                    for r2, memory in enumerate(memories):
-                        lanes = np.nonzero(rank_flat != r2)[0]
-                        if not lanes.size:
-                            continue
-                        sel = tuple(o[lanes] for o in offv)
-                        memory.valid[name][sel] = False
-                        memory.versions[name] += lanes.size * nw
+                self._commit_owned(
+                    key[0], offv, ctx.array_shadow[key], ctx.rank_flat,
+                    cols_of, len(info.write_steps),
+                )
             last_rank = int(exec_col[-1])
             for name, wp in self.scalar_phase.items():
                 vec = ctx.scalar_shadow[wp].get(name)
@@ -2714,14 +2391,8 @@ class TriangularPlan:
                     for memory in memories:
                         memory.scalar_store(name, v)
                     continue
-                for r, cols in cols_of.items():
-                    c = int(cols[-1])
-                    lane = int(ctx.seg_end[c]) if wp == 1 else c
-                    memories[r].scalar_store(name, vec[lane].item())
-                if many:
-                    for r2, memory in enumerate(memories):
-                        if r2 != last_rank:
-                            memory.scalar_invalidate(name)
+                colvec = vec[ctx.seg_end] if wp == 1 else vec
+                self._commit_owner_scalar(name, colvec, cols_of, last_rank)
             if self.i not in env:
                 # the walker's per-iteration epilogue leaves the inner
                 # index at the last column's final value
@@ -2741,6 +2412,10 @@ class TriangularPlan:
 class SlabExecutor:
     """Tier-3 entry point: owns the eligibility report and one runtime
     plan per loop, attempts takeovers, and falls back on any bail."""
+
+    #: consecutive prepare bails after which a nest that never committed
+    #: is demoted to tier 2 for the rest of the run
+    GIVE_UP_AFTER = 8
 
     def __init__(self, fast):
         self.fast = fast
@@ -2772,7 +2447,6 @@ class SlabExecutor:
         #: the rest of the run (prepare overhead was pure loss)
         self._bail_counts: dict[int, int] = {}
         self._committed: set[int] = set()
-        self.GIVE_UP_AFTER = 8
 
     def _record_bail(self, stmt: LoopStmt, reason: str) -> None:
         sim = self.sim
@@ -2795,7 +2469,7 @@ class SlabExecutor:
                 return InnerPlan(self, stmt)
             if self.report.column.get(sid) == "ok":
                 return ColumnPlan(self, stmt)
-            if getattr(self.report, "triangular", {}).get(sid) == "ok":
+            if self.report.triangular.get(sid) == "ok":
                 return TriangularPlan(self, stmt)
         except _Bail as bail:
             self._record_bail(stmt, str(bail))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -273,20 +272,11 @@ class SweepService:
         self, claim: Claim, fresh: list[tuple[int, SweepJob]]
     ) -> None:
         """Run the shard's never-measured points through the backend,
-        committing each result as it streams out.  Results map back to
-        grid indices by label (unique within a grid up to identical
-        point identities, which interchange freely)."""
-        index_of: dict[str, deque[int]] = {}
-        job_of = dict(fresh)
-        for idx, job in fresh:
-            index_of.setdefault(job.label, deque()).append(idx)
+        committing each result to its grid point as it streams out."""
 
-        def commit(result: SweepResult) -> None:
-            lane = index_of.get(result.label)
-            if not lane:  # pragma: no cover - engine emits one per job
-                return
-            idx = lane.popleft()
-            self._commit(claim, idx, job_of[idx], result, reused=False)
+        def commit(k: int, result: SweepResult) -> None:
+            idx, job = fresh[k]
+            self._commit(claim, idx, job, result, reused=False)
             self.queue.heartbeat(claim.job_id, claim.shard, self.owner)
 
         self.backend.run(
@@ -296,7 +286,7 @@ class SweepService:
             manager=self.manager,
             tracer=self.tracer,
             metrics=self.metrics,
-            on_result=commit,
+            on_point=commit,
         )
 
     def _commit(

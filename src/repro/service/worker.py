@@ -51,10 +51,11 @@ class WorkerBackend(Protocol):
         manager: "PassManager | None" = None,
         tracer: "Tracer | None" = None,
         metrics: "Metrics | None" = None,
-        on_result: Callable[[SweepResult], None] | None = None,
+        on_point: Callable[[int, SweepResult], None] | None = None,
     ) -> list[SweepResult]:
         """Evaluate ``jobs`` in order, streaming each finished point
-        through ``on_result`` (the service commits durability there).
+        with its index in ``jobs`` through ``on_point`` (the service
+        commits durability there).
         Must never lose a point: failures come back ``ok=False``."""
         ...
 
@@ -68,7 +69,7 @@ class InlineBackend:
     name: str = "inline"
 
     def run(self, jobs, *, exec_mode="auto", cache=None, manager=None,
-            tracer=None, metrics=None, on_result=None):
+            tracer=None, metrics=None, on_point=None):
         return run_sweep(
             jobs,
             workers=0,
@@ -77,7 +78,7 @@ class InlineBackend:
             manager=manager,
             tracer=tracer,
             metrics=metrics,
-            on_result=on_result,
+            on_point=on_point,
         )
 
 
@@ -95,7 +96,7 @@ class PoolBackend:
     name: str = field(default="pool", init=False)
 
     def run(self, jobs, *, exec_mode="auto", cache=None, manager=None,
-            tracer=None, metrics=None, on_result=None):
+            tracer=None, metrics=None, on_point=None):
         return run_sweep(
             jobs,
             workers=self.workers,
@@ -107,7 +108,7 @@ class PoolBackend:
             manager=manager,
             tracer=tracer,
             metrics=metrics,
-            on_result=on_result,
+            on_point=on_point,
         )
 
 

@@ -363,12 +363,12 @@ def run_batched(
     memo: dict | None,
     tracer: Tracer,
     metrics: Metrics | None,
-    on_result: Callable[[SweepResult], None] | None = None,
+    on_result: Callable[[int, SweepResult], None] | None = None,
 ) -> dict[int, SweepResult]:
     """Evaluate every batch, returning results keyed by original job
-    index.  A procs sub-group whose compile or vectorized evaluation
-    raises falls back to per-lane in-process execution; nothing is
-    ever dropped."""
+    index (``on_result`` gets each with that index as it lands).  A
+    procs sub-group whose compile or vectorized evaluation raises falls
+    back to per-lane in-process execution; nothing is ever dropped."""
     from .engine import execute_job
 
     def _inc(name: str, amount: float = 1) -> None:
@@ -388,7 +388,7 @@ def run_batched(
         if result.compile_dedup:
             _inc("sweep.compile_dedup")
         if on_result is not None:
-            on_result(result)
+            on_result(index, result)
 
     def _fall_back(sub: Batch, rung: str) -> None:
         """A rung of the degrade ladder: run each of the sub-batch's

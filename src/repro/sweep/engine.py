@@ -4,7 +4,8 @@
 serially in-process, or on a pool of worker processes — and returns
 one :class:`~repro.sweep.spec.SweepResult` per job, in job order.
 Results also *stream*: an ``on_result`` callback fires as each point
-completes, so long grids report progress instead of going dark.
+completes, so long grids report progress instead of going dark
+(``on_point`` also gets the point's index in the job list).
 
 The pool is supervised, not fire-and-forget:
 
@@ -210,7 +211,7 @@ class _Supervisor:
         cache: CompileCache | None,
         tracer: Tracer,
         metrics: Metrics | None,
-        on_result: Callable[[SweepResult], None] | None,
+        on_result: Callable[[int, SweepResult], None] | None,
     ):
         self.jobs = jobs
         self.timeout = timeout
@@ -309,7 +310,7 @@ class _Supervisor:
             duration_s=round(result.duration_s, 6),
         )
         if self.on_result is not None:
-            self.on_result(result)
+            self.on_result(index, result)
 
     def _serial_fallback(self, index: int, attempt: int, reason: str) -> None:
         """The pool failed this job ``retries + 1`` times: run it here,
@@ -451,16 +452,17 @@ def _run_job_list(
     manager: PassManager | None,
     tracer: Tracer,
     metrics: Metrics | None,
-    on_result: Callable[[SweepResult], None] | None,
+    on_result: Callable[[int, SweepResult], None],
 ) -> list[SweepResult]:
     """The per-job execution paths (serial in-process, or the
     supervised pool), shared by the pool mode and the batched mode's
-    non-batchable remainder."""
+    non-batchable remainder.  ``on_result`` gets each result with its
+    index in ``jobs``."""
     if workers <= 1 or len(jobs) == 1:
         shared = manager or PassManager(tracer=tracer)
         memo: dict = {}
         results = []
-        for job in jobs:
+        for index, job in enumerate(jobs):
             with tracer.span("sweep.job", cat="sweep", label=job.label):
                 result = execute_job(
                     job, manager=shared, cache=cache, memo=memo
@@ -473,8 +475,7 @@ def _run_job_list(
                     metrics.inc("sweep.cache_hits")
                 if result.compile_dedup:
                     metrics.inc("sweep.compile_dedup")
-            if on_result is not None:
-                on_result(result)
+            on_result(index, result)
             results.append(result)
         return results
     supervisor = _Supervisor(
@@ -503,6 +504,7 @@ def run_sweep(
     tracer: Tracer | None = None,
     metrics: Metrics | None = None,
     on_result: Callable[[SweepResult], None] | None = None,
+    on_point: Callable[[int, SweepResult], None] | None = None,
     mode: str = "auto",
 ) -> list[SweepResult]:
     """Execute a sweep, returning one result per job in job order.
@@ -515,7 +517,9 @@ def run_sweep(
     (with ``backoff * 2**attempt`` delays) before the supervisor runs
     it serially itself.  ``cache`` enables the persistent compile
     cache (path, True for the default root, or a
-    :class:`CompileCache`).
+    :class:`CompileCache`).  ``on_result(result)`` and
+    ``on_point(index, result)`` fire as each point completes, in
+    completion order; ``index`` is the point's position in the job list.
 
     ``mode`` picks the execution strategy: ``"pool"`` runs every job
     through the per-job paths above; ``"batched"`` routes
@@ -551,6 +555,12 @@ def run_sweep(
         if mode == "batched" or any(len(b) > 1 for b in planned):
             batches, leftover = planned, rest
 
+    def emit(index: int, result: SweepResult) -> None:
+        if on_result is not None:
+            on_result(result)
+        if on_point is not None:
+            on_point(index, result)
+
     with tracer.span(
         "sweep",
         cat="sweep",
@@ -569,7 +579,7 @@ def run_sweep(
                     memo={},
                     tracer=tracer,
                     metrics=metrics,
-                    on_result=on_result,
+                    on_result=emit,
                 )
             )
         if leftover:
@@ -583,7 +593,7 @@ def run_sweep(
                 manager=manager,
                 tracer=tracer,
                 metrics=metrics,
-                on_result=on_result,
+                on_result=lambda k, result: emit(leftover[k], result),
             )
             merged.update(zip(leftover, rest_results))
         results = [merged[i] for i in range(len(jobs))]

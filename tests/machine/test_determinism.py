@@ -202,9 +202,10 @@ END PROGRAM
 
 class TestNarrowedSlabGuards:
     """The three remaining slab-side guards (inner-bound evaluation in
-    ColumnPlan/TriangularPlan.prepare, owner lookup in the vectorized
-    fetch path) bail only on their canonical error types; programming
-    errors propagate."""
+    ColumnPlan/TriangularPlan.prepare — through their shared
+    ``_NestPlan._bound`` — owner lookup in the vectorized fetch path)
+    bail only on their canonical error types; programming errors
+    propagate."""
 
     @staticmethod
     def _patch_eval_bound(monkeypatch, exc):
@@ -215,7 +216,7 @@ class TestNarrowedSlabGuards:
         original = lowering.FastPath.eval_bound
 
         def sabotaged(self, expr, env):
-            if "Plan.prepare" in sys._getframe(1).f_code.co_qualname:
+            if sys._getframe(1).f_code.co_qualname == "_NestPlan._bound":
                 raise exc
             return original(self, expr, env)
 

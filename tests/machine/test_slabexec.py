@@ -2,16 +2,20 @@
 
 Covers the static classifier (eligibility decisions on the paper
 benchmarks), report plumbing through the pass manager, and runtime
-behaviour: coverage, fallback, ghost-column fetch replay.
+behaviour: coverage, fallback, ghost-column fetch replay, and the
+concrete disjointness bails.
 """
 
 import pickle
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro.core import CompilerOptions, compile_source
+from repro.ir.build import make_inputs
 from repro.machine import simulate
+from repro.obs import Metrics
 from repro.programs import dgefa_source, tomcatv_inputs, tomcatv_source
 
 
@@ -108,3 +112,99 @@ class TestRuntime:
         assert slab.clocks.snapshot() == walker.clocks.snapshot()
         assert slab.stats.as_dict() == walker.stats.as_dict()
         assert slab.gather("A").tobytes() == walker.gather("A").tobytes()
+
+
+#: an innermost loop entered for k = 1, 2: its two stores (or its store
+#: and read) coincide exactly when k = 1
+OVERLAP_INNER = """PROGRAM W
+  PARAMETER (n = 8)
+  REAL A(n,n), B(n,n)
+!HPF$ ALIGN (i,j) WITH A(i,j) :: B
+!HPF$ DISTRIBUTE (*, BLOCK) :: A
+  DO k = 1, 2
+    DO i = 1, n
+{body}
+    END DO
+  END DO
+END PROGRAM
+"""
+
+#: the same for a column nest over j, taken over as one TriangularPlan
+OVERLAP_TRIANGULAR = """PROGRAM W
+  PARAMETER (n = 8)
+  REAL A(n,2,n)
+!HPF$ DISTRIBUTE (*, *, BLOCK) :: A
+  DO k = 1, 2
+    DO j = 1, n
+      DO i = 1, n
+{body}
+      END DO
+    END DO
+  END DO
+END PROGRAM
+"""
+
+
+class TestConcreteDisjointness:
+    """Distinct subscript forms that the classifier proves never meet
+    in one iteration may still name the same elements at run time;
+    prepare checks the concrete index sets and bails to tier 2."""
+
+    @pytest.mark.parametrize(
+        "table, source, procs, reason",
+        [
+            (
+                "inner",
+                OVERLAP_INNER.format(
+                    body="      A(i,1) = B(i,1) + 1.0\n"
+                    "      A(i,k) = B(i,k) * 2.0"
+                ),
+                2,
+                "write regions overlap",
+            ),
+            (
+                "inner",
+                OVERLAP_INNER.format(body="      A(i,1) = A(i,k) + B(i,1)"),
+                1,
+                "read overlaps writes across lanes",
+            ),
+            (
+                "triangular",
+                OVERLAP_TRIANGULAR.format(
+                    body="        A(i,1,j) = 0.5 * i\n"
+                    "        A(i,k,j) = 0.25 * i"
+                ),
+                2,
+                "write regions overlap",
+            ),
+            (
+                "triangular",
+                OVERLAP_TRIANGULAR.format(body="        A(i,1,j) = A(i,k,j) + 0.5"),
+                2,
+                "read overlaps writes across lanes",
+            ),
+        ],
+        ids=["inner-writes", "inner-read", "triangular-writes", "triangular-read"],
+    )
+    def test_overlap_bails_to_tier2(self, table, source, procs, reason):
+        compiled = compile_source(source, CompilerOptions(num_procs=procs))
+        (loop,) = [
+            sid
+            for sid, verdict in getattr(compiled.slabs, table).items()
+            if verdict == "ok"
+        ]
+        inputs = make_inputs(compiled.proc, 0)
+        metrics = Metrics()
+        slab = simulate(compiled, inputs, tier="slab", metrics=metrics)
+        lowered = simulate(compiled, inputs, tier="lowered")
+        counters = metrics.counters
+        assert counters[f"slab.bail[{reason}]"] >= 1
+        # k = 1 bails, k = 2 (disjoint) commits
+        assert counters[f"slab.fallback[loop=S{loop}]"] == 1
+        assert counters[f"slab.takeover[loop=S{loop}]"] == 1
+        assert slab.clocks.snapshot() == lowered.clocks.snapshot()
+        assert slab.stats.as_dict() == lowered.stats.as_dict()
+        for sm, lm in zip(slab.memories, lowered.memories):
+            for name in lm.arrays:
+                assert sm.arrays[name].tobytes() == lm.arrays[name].tobytes()
+                assert sm.valid[name].tobytes() == lm.valid[name].tobytes()

@@ -138,8 +138,7 @@ def test_random_procs_subsets_stay_byte_identical(procs, machines):
 
 # -- mid-run tier demotion ---------------------------------------------------
 
-#: mirrors SlabExecutor.GIVE_UP_AFTER (an instance attribute)
-GIVE_UP_AFTER = 8
+GIVE_UP_AFTER = slabexec.SlabExecutor.GIVE_UP_AFTER
 
 #: enough outer iterations that tomcatv's slab-approved nests are
 #: entered well past GIVE_UP_AFTER times

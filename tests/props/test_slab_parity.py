@@ -168,6 +168,66 @@ def test_triangular_nests_are_bit_for_bit_invisible(case, procs):
         assert slab.slab_instances > 0
 
 
+@st.composite
+def column_nests(draw):
+    """Column-owned nests whose inner loop carries a dependence, in the
+    mould of tomcatv's tridiagonal sweeps: the inner loop is ineligible
+    on its own, so ColumnPlan steps it in order across all columns at
+    once.  Optional boundary store before the inner loop, scalar
+    temporary inside it, second coupled recurrence, and store after
+    it; either sweep direction."""
+    n = draw(st.integers(min_value=8, max_value=12))
+    dist = draw(st.sampled_from(TRI_DISTS))
+    downward = draw(st.booleans())
+    prologue = draw(st.booleans())
+    temp = draw(st.booleans())
+    coupled = draw(st.booleans())
+    epilogue = draw(st.booleans())
+    prev, edge, irange = (
+        ("i + 1", "n - 1", "n - 2, 2, -1") if downward
+        else ("i - 1", "2", "3, n - 1")
+    )
+    lines = []
+    if prologue:
+        lines.append(f"    A({edge},j) = B({edge},j) * 0.5")
+    lines.append(f"    DO i = {irange}")
+    if temp:
+        lines.append("      T = B(i,j) * 0.5 + C(i,j)")
+    lines.append(
+        f"      A(i,j) = A({prev},j) * 0.5 + {'T' if temp else 'B(i,j)'}"
+    )
+    if coupled:
+        lines.append(f"      C(i,j) = C({prev},j) - A(i,j) * 0.25")
+    lines.append("    END DO")
+    if epilogue:
+        lines.append("    C(1,j) = A(2,j) + B(1,j)")
+    source = (
+        f"PROGRAM R\n  PARAMETER (n = {n})\n"
+        "  REAL A(n,n), B(n,n), C(n,n)\n  REAL T\n"
+        "!HPF$ ALIGN (i,j) WITH A(i,j) :: B, C\n"
+        + dist
+        + "  DO j = 2, n - 1\n"
+        + "".join(line + "\n" for line in lines)
+        + "  END DO\nEND PROGRAM\n"
+    )
+    return source, n
+
+
+@given(column_nests(), st.integers(min_value=2, max_value=4))
+@settings(max_examples=30, deadline=None)
+def test_column_nests_are_bit_for_bit_invisible(case, procs):
+    source, n = case
+    slab, lowered, walker = run_three_ways(source, n, procs)
+    assert_invisible(slab, lowered)
+    assert_invisible(slab, walker)
+    report = slab.compiled.slabs
+    assert "ok" not in report.inner.values()  # the recurrence
+    (outer,) = [sid for sid, v in report.column.items() if v == "ok"]
+    # the whole nest ran as one column takeover
+    assert slab.tier_decisions == {outer: "slab"}
+    assert slab.slab_instances > 0
+
+
 @given(triangular_nests(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=15, deadline=None)
 def test_auto_tier_matches_forced_tiers(case, procs):

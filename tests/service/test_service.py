@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import Session
+from repro.core import CompilerOptions
 from repro.obs import Metrics
 from repro.programs import tomcatv_source
 from repro.records import comparable
@@ -17,7 +18,8 @@ from repro.service import (
     as_backend,
     shard_jobs,
 )
-from repro.sweep.spec import SweepSpec
+from repro.sweep import run_sweep
+from repro.sweep.spec import SweepJob, SweepSpec
 
 
 def _spec(procs=(2, 4), **kwargs):
@@ -96,6 +98,32 @@ class TestEndToEnd:
         assert metrics.gauges["service.queue.jobs_open"] == 0
         kinds = [e.kind for e in handle.stream_events(timeout=5)]
         assert kinds[0] == "submitted" and kinds[-1] == "done"
+        service.close()
+
+    def test_colliding_labels_commit_to_their_own_points(self, tmp_path):
+        """Auto labels leave out the mode and the seed, so two points
+        of one grid can share a label; each streamed result must still
+        land on its own point, in the job and in the catalog."""
+
+        def job(mode, procs):
+            return SweepJob(
+                program="tomcatv",
+                source=tomcatv_source(n=10, niter=1, procs=procs),
+                options=CompilerOptions(num_procs=procs),
+                mode=mode,
+                procs=procs,
+            )
+
+        jobs = [job("compile", 4), job("estimate", 4), job("estimate", 8)]
+        assert jobs[0].label == jobs[1].label
+        modes = [j.mode for j in jobs]
+        assert [r.mode for r in run_sweep(jobs, workers=0)] == modes
+
+        service = SweepService(tmp_path / "svc")
+        handle = service.submit(jobs, shards=1)
+        service.serve_forever(once=True)
+        assert [r.mode for r in handle.result(timeout=60)] == modes
+        assert [service.catalog.lookup(j).mode for j in jobs] == modes
         service.close()
 
 
