@@ -39,10 +39,12 @@ the first lane's compile (``compile_dedup``) and land on byte-identical
 stats: a P-independent program compiles once for the whole procs
 vector.
 
-With ``--inject-crash``, the first timing-grid point's pool worker is
-killed mid-flight (``os._exit``) on its first attempt — the supervisor
-must retry it without losing the point, proving the engine's recovery
-path in CI rather than only in unit tests.
+With ``--inject-crash``, a separate two-job pool run checks the
+pool's crash contract in CI rather than only in unit tests: the
+worker evaluating the first job is killed mid-flight (``os._exit``),
+so that job must come back ``ok=False`` with ``worker="crashed"``
+while the other job completes ok, with no point lost.  The pool does
+not retry; re-evaluating a crashed point is the service queue's job.
 
 Writes a JSON artifact (``--stats-out``) with the timings, the
 speedup, and the disk caches' footprint + per-pass hit counts.
@@ -61,6 +63,7 @@ Exits 0 when every gate holds, 1 otherwise.
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import shutil
 import sys
@@ -71,6 +74,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC_DIR))
 
+import repro.sweep.engine  # noqa: E402
 from repro.core.diskcache import CompileCache  # noqa: E402
 from repro.core.driver import CompilerOptions  # noqa: E402
 from repro.model import SP2  # noqa: E402
@@ -95,7 +99,7 @@ MACHINE_VARIANTS = (
 )
 
 
-def build_jobs(procs, strategies, mode, inject_crash=False):
+def build_jobs(procs, strategies, mode):
     spec = SweepSpec(
         programs={
             "tomcatv": lambda p: tomcatv_source(n=8, niter=1, procs=p),
@@ -105,19 +109,13 @@ def build_jobs(procs, strategies, mode, inject_crash=False):
         axes={"strategy": tuple(strategies)},
         mode=mode,
     )
-    jobs = spec.jobs()
-    if inject_crash:
-        jobs[0] = dataclasses.replace(jobs[0], inject={"crash_attempts": 1})
-    return jobs
+    return spec.jobs()
 
 
 def run_pass(jobs, workers, cache_root):
     cache = CompileCache(cache_root)
     started = time.perf_counter()
-    results = run_sweep(
-        jobs, workers=workers, cache=cache, timeout=120, retries=2,
-        backoff=0.05,
-    )
+    results = run_sweep(jobs, workers=workers, cache=cache)
     elapsed = time.perf_counter() - started
     return results, elapsed, cache
 
@@ -139,6 +137,42 @@ def check_pass_pair(name, jobs, cold, warm, failures):
     if warm_misses:
         failures.append(f"{name}: warm pass had cache misses: "
                         f"{warm_misses[:3]}")
+
+
+def check_crash(jobs, workers, failures):
+    """Kill the pool worker evaluating ``jobs[0]``: that job alone must
+    come back as a crash record, and no point may be lost."""
+    parent = os.getpid()
+    execute_job = repro.sweep.engine.execute_job
+
+    def dies_on_first(job, **kwargs):
+        if job.label == jobs[0].label and os.getpid() != parent:
+            os._exit(32)  # a hard worker death (segfault / OOM kill)
+        return execute_job(job, **kwargs)
+
+    # patched before the pool forks, so the workers inherit it
+    repro.sweep.engine.execute_job = dies_on_first
+    try:
+        results = run_sweep(jobs, workers=workers, mode="pool")
+    finally:
+        repro.sweep.engine.execute_job = execute_job
+    if [r.label for r in results] != [j.label for j in jobs]:
+        failures.append("injected crash: grid points were lost or reordered")
+        return
+    crashed, other = results
+    marked = (crashed.worker == "crashed"
+              and crashed.error == "worker crashed (exit code 32)")
+    if crashed.ok or not marked:
+        failures.append(
+            f"injected crash: killed job came back ok={crashed.ok} "
+            f"worker={crashed.worker} error={crashed.error!r}"
+        )
+    elif not other.ok:
+        failures.append(f"injected crash: the other job failed: "
+                        f"{other.error}")
+    else:
+        print(f"injected crash: {crashed.label} forfeited as "
+              f"{crashed.error!r}; {other.label} ok on {other.worker}")
 
 
 def stats_payload(results) -> bytes:
@@ -173,7 +207,6 @@ def main() -> int:
     # -- timing grid: compile mode, warm must be >= min-speedup faster --
     timing_jobs = build_jobs(
         args.procs, ("selected", "consumer", "producer"), "compile",
-        inject_crash=args.inject_crash,
     )
     print(f"timing grid: {len(timing_jobs)} compile-mode points, "
           f"{args.workers} workers")
@@ -190,14 +223,8 @@ def main() -> int:
         failures.append(f"warm sweep only {speedup:.2f}x faster "
                         f"(need >= {args.min_speedup:.1f}x)")
 
-    if args.inject_crash and not failures:
-        crashed = cold[0]
-        if crashed.attempts < 2:
-            failures.append("injected crash was not retried "
-                            f"(attempts={crashed.attempts})")
-        else:
-            print(f"injected crash recovered: {crashed.label} ok after "
-                  f"{crashed.attempts} attempts on {crashed.worker}")
+    if args.inject_crash:
+        check_crash(timing_jobs[:2], max(args.workers, 2), failures)
 
     # -- stats grid: simulate mode, canonical stats byte-identical -----
     stats_jobs = build_jobs((2, 4), ("selected", "consumer"), "simulate")
@@ -232,14 +259,14 @@ def main() -> int:
     started = time.perf_counter()
     b_pool = run_sweep(
         batched_jobs, workers=args.workers, cache=pool_cache,
-        timeout=120, retries=2, backoff=0.05, mode="pool",
+        mode="pool",
     )
     t_pool = time.perf_counter() - started
     batched_cache = CompileCache(base_root / "batched")
     started = time.perf_counter()
     b_fast = run_sweep(
         batched_jobs, workers=args.workers, cache=batched_cache,
-        timeout=120, retries=2, backoff=0.05, mode="batched",
+        mode="batched",
     )
     t_batched = time.perf_counter() - started
 
@@ -297,14 +324,14 @@ def main() -> int:
     p_pool = run_sweep(
         procs_jobs, workers=args.workers,
         cache=CompileCache(base_root / "procs-pool"),
-        timeout=120, retries=2, backoff=0.05, mode="pool",
+        mode="pool",
     )
     t_procs_pool = time.perf_counter() - started
     started = time.perf_counter()
     p_fast = run_sweep(
         procs_jobs, workers=args.workers,
         cache=CompileCache(base_root / "procs-batched"),
-        timeout=120, retries=2, backoff=0.05, mode="batched",
+        mode="batched",
     )
     t_procs_batched = time.perf_counter() - started
 

@@ -292,9 +292,6 @@ class Session:
         spec: SweepSpec | Iterable[SweepJob],
         *,
         workers: int | None = None,
-        timeout: float | None = None,
-        retries: int = 2,
-        backoff: float = 0.1,
         on_result: Callable[[SweepResult], None] | None = None,
         mode: str = "auto",
     ) -> list[SweepResult]:
@@ -308,13 +305,12 @@ class Session:
         ``SweepResult.procs_lanes`` reports how many procs sub-groups
         a point's batch fused), ``"auto"`` picks batched exactly when
         some batch has lanes to fuse — results are identical either
-        way."""
+        way.  A pool worker that dies returns its point ``ok=False``
+        (``worker="crashed"``) and nothing is retried; :meth:`submit`
+        is the durable path that re-evaluates crashed points."""
         return run_sweep(
             spec,
             workers=workers,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
             cache=self.cache,
             manager=self.manager,
             tracer=self.tracer,

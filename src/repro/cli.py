@@ -886,7 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--backend", default="inline", metavar="NAME[:N]",
         help="worker backend: 'inline' (in-process, default) or "
-        "'pool[:N]' (supervised N-process pool)",
+        "'pool[:N]' (non-batchable points on N forked workers, default "
+        "2; a crashed point is re-claimed through the queue)",
     )
     p_serve.add_argument(
         "--once", action="store_true",

@@ -1,5 +1,5 @@
 """Persistent sweep service: durable job queue, artifact catalog, and
-pluggable worker backends over one service directory.
+the serving loop over one service directory.
 
 See :mod:`repro.service.service` for the execution model and
 ``docs/SERVICE.md`` for the protocol walkthrough.
@@ -7,38 +7,29 @@ See :mod:`repro.service.service` for the execution model and
 
 from .catalog import Catalog, canonical_sha, point_key, source_sha
 from .db import SchemaMismatch
-from .queue import Event, JobQueue, JobStatus, make_owner
+from .queue import MAX_SHARD_ATTEMPTS, Event, JobQueue, JobStatus, make_owner
 from .service import (
+    BACKENDS,
     KILL_AFTER_ENV,
     JobFailed,
     JobHandle,
     SweepService,
     default_service_dir,
 )
-from .worker import (
-    BACKENDS,
-    InlineBackend,
-    PoolBackend,
-    WorkerBackend,
-    as_backend,
-    shard_jobs,
-)
+from .worker import shard_jobs
 
 __all__ = [
     "BACKENDS",
     "Catalog",
     "Event",
-    "InlineBackend",
     "JobFailed",
     "JobHandle",
     "JobQueue",
     "JobStatus",
     "KILL_AFTER_ENV",
-    "PoolBackend",
+    "MAX_SHARD_ATTEMPTS",
     "SchemaMismatch",
     "SweepService",
-    "WorkerBackend",
-    "as_backend",
     "canonical_sha",
     "default_service_dir",
     "make_owner",

@@ -12,8 +12,12 @@ worker process sharing the queue database:
   ``done``; a point is ``pending`` → ``done``.
 * **leases** — claiming a shard takes a lease (owner tag + expiry);
   workers extend it by heartbeating.  A shard whose lease expired —
-  or whose owner is a dead local pid — is reclaimable by anyone, so a
-  killed worker forfeits only its in-flight shard, never the job.
+  or whose owner is a dead local pid, or that its worker released —
+  is reclaimable by anyone, so a killed worker forfeits only its
+  in-flight shard, never the job.  A shard claimed
+  :data:`MAX_SHARD_ATTEMPTS` times without finishing is poison (its
+  evaluation keeps killing its process): the next claim fails the job
+  instead of leasing it again.
 * **durability** — every completed point commits its pickled
   :class:`~repro.sweep.spec.SweepResult` in the same transaction that
   flips the point state, so a crash between points loses nothing and
@@ -46,6 +50,10 @@ QUEUE_SCHEMA_VERSION = 1
 #: job states; ``TERMINAL_STATES`` end the job's lifecycle
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: claims a shard may take before the queue gives up on it and fails
+#: its job (every unfinished claim ended in a crash or a release)
+MAX_SHARD_ATTEMPTS = 3
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -305,22 +313,34 @@ class JobQueue:
         """Lease one shard of work, or None when nothing is claimable.
         Prefers fresh ``ready`` shards, then shards whose lease expired
         or whose owner died; completed points of a reclaimed shard are
-        *not* reissued."""
+        *not* reissued.  A shard already claimed
+        :data:`MAX_SHARD_ATTEMPTS` times fails its job instead."""
         now = time.time()
         with transaction(self.conn):
-            row = self.conn.execute(
-                "SELECT s.job_id, s.shard, s.state, s.owner, s.attempts,"
-                " j.exec_mode FROM shards s JOIN jobs j ON j.id = s.job_id"
-                " WHERE j.state IN ('queued', 'running')"
-                " AND (s.state = 'ready' OR (s.state = 'leased'"
-                "      AND s.lease_expires < ?))"
-                " ORDER BY s.state = 'ready' DESC, s.job_id, s.shard LIMIT 1",
-                (now,),
-            ).fetchone()
-            if row is None:
-                row = self._find_dead_owner_shard()
-            if row is None:
-                return None
+            while True:
+                row = self.conn.execute(
+                    "SELECT s.job_id, s.shard, s.state, s.owner,"
+                    " s.attempts, j.exec_mode FROM shards s"
+                    " JOIN jobs j ON j.id = s.job_id"
+                    " WHERE j.state IN ('queued', 'running')"
+                    " AND (s.state = 'ready' OR (s.state = 'leased'"
+                    "      AND s.lease_expires < ?))"
+                    " ORDER BY s.state = 'ready' DESC, s.job_id, s.shard"
+                    " LIMIT 1",
+                    (now,),
+                ).fetchone()
+                if row is None:
+                    row = self._find_dead_owner_shard()
+                if row is None:
+                    return None
+                if row["attempts"] < MAX_SHARD_ATTEMPTS:
+                    break
+                self.fail_job(
+                    row["job_id"],
+                    f"shard {row['shard']} not finished after "
+                    f"{row['attempts']} attempts (its evaluation keeps "
+                    f"killing the worker)",
+                )
             job_id, shard = row["job_id"], row["shard"]
             reclaimed = row["state"] == "leased"
             self.conn.execute(
@@ -499,7 +519,7 @@ class JobQueue:
         return True
 
     def fail_job(self, job_id: int, error: str) -> None:
-        """Terminal failure (submit-side validation, poisoned spec)."""
+        """Terminal failure (a poison shard, see :meth:`claim`)."""
         now = time.time()
         with transaction(self.conn):
             cursor = self.conn.execute(

@@ -15,13 +15,19 @@ the ordered :class:`~repro.sweep.spec.SweepResult` list,
 runs the worker loop: ``repro serve`` (or
 :meth:`SweepService.serve_forever`) claims one shard at a time,
 serves points the catalog has already measured as *reuses*, evaluates
-the rest through the configured
-:class:`~repro.service.worker.WorkerBackend`, and commits every point
-to queue + catalog as it lands.  Kill the process at any moment:
-completed points are durable, the lease expires (or the dead pid is
-detected), and the next worker resumes exactly the pending points —
-canonical stats stay byte-identical to an uninterrupted
-``Session.sweep`` of the same grid.
+the rest through :func:`repro.service.worker.run_sweep` (inline, or on
+a pool of ``backend="pool:N"`` workers), and commits every point to
+queue + catalog as it lands.
+
+The queue is the one fault-tolerance layer.  Kill the serving process
+at any moment: completed points are durable, the lease expires (or
+the dead pid is detected), and the next worker resumes exactly the
+pending points.  A pool worker that dies forfeits only its point: the
+service commits nothing for it and releases the shard, so the next
+claim re-evaluates just the uncommitted points.  Either way canonical
+stats stay byte-identical to an uninterrupted ``Session.sweep`` of the
+same grid, and a shard that keeps killing its evaluator fails its job
+after :data:`~repro.service.queue.MAX_SHARD_ATTEMPTS` claims.
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from ..sweep.engine import EXEC_MODES
 from ..sweep.spec import SweepJob, SweepResult, SweepSpec
 from .catalog import Catalog, point_key
 from .queue import Claim, Event, JobQueue, JobStatus, make_owner
-from .worker import WorkerBackend, as_backend, shard_jobs
+from . import worker
+from .worker import shard_jobs
 
 if TYPE_CHECKING:
     from ..obs import Metrics, Tracer
@@ -50,9 +57,26 @@ if TYPE_CHECKING:
 #: this many points, so recovery must resume from the queue alone
 KILL_AFTER_ENV = "_REPRO_SERVICE_EXIT_AFTER_POINTS"
 
-#: exit code of an injected service death (matches the sweep pool's
-#: injected worker crash convention)
+#: exit code of an injected service death
 KILLED_EXIT_CODE = 32
+
+#: named backends (``repro serve --backend``); ``"pool:N"`` sizes the pool
+BACKENDS = ("inline", "pool")
+
+
+def _backend_workers(backend: str | None) -> int:
+    """The worker count a backend name stands for: None/``"inline"``
+    → 0 (serial in the serving process), ``"pool"``/``"pool:N"`` → a
+    pool of 2/N workers."""
+    name, _, arg = (backend or "inline").partition(":")
+    if name == "inline" and not arg:
+        return 0
+    if name == "pool":
+        return int(arg) if arg else 2
+    raise ValueError(
+        f"unknown worker backend {backend!r}; built in: {BACKENDS} "
+        f"('pool:N' sizes the pool)"
+    )
 
 
 def default_service_dir() -> Path:
@@ -141,19 +165,22 @@ class SweepService:
     """Queue + catalog + backend over one service directory.  The same
     class serves both roles: clients construct it to submit/poll,
     worker processes construct it (with their backend of choice) to
-    run :meth:`serve_forever`."""
+    run :meth:`serve_forever`.  ``backend`` is one of :data:`BACKENDS`
+    and only sets :attr:`workers`, the evaluation pool size (0: inline
+    in this process)."""
 
     def __init__(
         self,
         root: "str | os.PathLike | None" = None,
         *,
-        backend: "WorkerBackend | str | None" = None,
+        backend: str | None = None,
         lease_ttl: float = 60.0,
         cache: Any = None,
         tracer: "Tracer | None" = None,
         metrics: "Metrics | None" = None,
         owner: str | None = None,
     ):
+        self.workers = _backend_workers(backend)
         self.root = Path(root).expanduser() if root else default_service_dir()
         self.root.mkdir(parents=True, exist_ok=True)
         self.queue = JobQueue(self.root / "queue.sqlite", lease_ttl=lease_ttl)
@@ -161,7 +188,6 @@ class SweepService:
         self.cache = as_compile_cache(
             cache if cache is not None else self.root / "cache"
         )
-        self.backend = as_backend(backend)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.manager = PassManager(tracer=tracer)
@@ -247,7 +273,7 @@ class SweepService:
             cat="service",
             job_id=claim.job_id,
             shard=claim.shard,
-            backend=self.backend.name,
+            workers=self.workers,
             pending=len(claim.points),
         ):
             fresh: list[tuple[int, SweepJob]] = []
@@ -257,8 +283,15 @@ class SweepService:
                     self._commit(claim, idx, job, cached, reused=True)
                 else:
                     fresh.append((idx, job))
-            if fresh:
-                self._evaluate(claim, fresh)
+            crashed = self._evaluate(claim, fresh) if fresh else 0
+        if crashed:
+            # the crashed points stay pending: the next claim of this
+            # shard re-evaluates exactly them
+            self.queue.release_shard(
+                claim.job_id, claim.shard, self.owner,
+                f"{crashed} point(s) lost to a crashed worker",
+            )
+            return
         if not self.queue.heartbeat(claim.job_id, claim.shard, self.owner):
             # cancelled mid-shard, or the lease was reclaimed: committed
             # points are durable either way; just walk away
@@ -270,24 +303,32 @@ class SweepService:
 
     def _evaluate(
         self, claim: Claim, fresh: list[tuple[int, SweepJob]]
-    ) -> None:
-        """Run the shard's never-measured points through the backend,
-        committing each result to its grid point as it streams out."""
+    ) -> int:
+        """Run the shard's never-measured points, committing each result
+        to its grid point as it streams out.  A point whose pool worker
+        crashed is not committed; returns how many were."""
+        crashed = 0
 
         def commit(k: int, result: SweepResult) -> None:
+            nonlocal crashed
+            if result.worker == "crashed":
+                crashed += 1
+                return
             idx, job = fresh[k]
             self._commit(claim, idx, job, result, reused=False)
             self.queue.heartbeat(claim.job_id, claim.shard, self.owner)
 
-        self.backend.run(
+        worker.run_sweep(
             [job for _, job in fresh],
-            exec_mode=claim.exec_mode,
+            workers=self.workers,
+            mode=claim.exec_mode,
             cache=self.cache,
             manager=self.manager,
             tracer=self.tracer,
             metrics=self.metrics,
             on_point=commit,
         )
+        return crashed
 
     def _commit(
         self,

@@ -31,9 +31,9 @@ collapse further: one :class:`~repro.perf.estimator.PerfEstimator`
 pass over a :class:`~repro.machine.batchexec.ProcsVectorMachine`
 prices the whole procs × machine grid in a single call.
 
-Jobs that cannot batch (compile-mode points, failure-injection test
-jobs) are returned to the caller untouched; :func:`repro.sweep.engine.
-run_sweep` sends them down the ordinary pool path.  The degrade ladder
+Jobs that cannot batch (compile-mode points) are returned to the
+caller untouched; :func:`repro.sweep.engine.run_sweep` sends them down
+the ordinary pool path.  The degrade ladder
 never loses a grid point: a sub-group whose compile or vectorized
 evaluation fails runs its lanes per-lane in-process, and a fused
 extraction that fails degrades to per-sub-group extraction (which is
@@ -128,7 +128,7 @@ def plan_batches(
     batches: dict[tuple, Batch] = {}
     leftover: list[int] = []
     for index, job in enumerate(jobs):
-        if job.mode not in BATCHABLE_MODES or job.inject:
+        if job.mode not in BATCHABLE_MODES:
             leftover.append(index)
             continue
         key = batch_key(job)
@@ -392,9 +392,8 @@ def run_batched(
 
     def _fall_back(sub: Batch, rung: str) -> None:
         """A rung of the degrade ladder: run each of the sub-batch's
-        lanes the ordinary scalar way, in-process (mirrors the pool's
-        serial fallback — the fast path may lose speed, never a
-        point).  Every result carries why its batch evaluation failed
+        lanes the ordinary scalar way, in-process (the fast path may
+        lose speed, never a point).  Every result carries why its batch evaluation failed
         (``fallback_reason``), and the per-rung lane counter makes
         silent degradation visible in metrics."""
         reason = _active_failure(rung)

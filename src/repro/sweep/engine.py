@@ -7,19 +7,15 @@ Results also *stream*: an ``on_result`` callback fires as each point
 completes, so long grids report progress instead of going dark
 (``on_point`` also gets the point's index in the job list).
 
-The pool is supervised, not fire-and-forget:
-
-* each worker runs **one job at a time** through its own task/result
-  queue pair, so a dead or hung worker forfeits exactly one job;
-* a worker that **crashes** (exits without reporting) or **times out**
-  (``timeout`` seconds per job) is killed and respawned, and its job
-  is requeued with exponential backoff, up to ``retries`` extra
-  attempts;
-* a job that exhausts its pool attempts **degrades to in-process
-  serial execution** — a poisoned pool can slow a sweep down, but it
-  cannot lose a grid point;
-* a job that raises an ordinary exception (compile error, bad source)
-  fails *fast*: deterministic errors are reported, not retried.
+The pool is plain: each worker runs **one job at a time** over its
+own pipe, so a worker that dies (segfault, OOM kill) forfeits exactly
+its in-flight job.  That job comes back ``ok=False`` with
+``worker="crashed"`` and the exit code in ``error``; the remaining
+jobs continue on a replacement worker.  Nothing is timed out or
+retried here: the sweep service's job queue is the one fault-tolerance
+layer — it never commits a crashed point and re-claims the shard.  A
+job that raises an ordinary exception (compile error, bad source)
+comes back ``ok=False`` with its traceback.
 
 Every compile goes through the optional persistent
 :class:`~repro.core.diskcache.CompileCache`, shared by path across
@@ -33,11 +29,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Iterable, Sequence
 
 from ..core.diskcache import CompileCache, as_compile_cache
@@ -49,11 +45,6 @@ from .spec import SweepJob, SweepResult, SweepSpec
 #: execution modes of :func:`run_sweep` — how the grid is *run*, as
 #: opposed to ``SweepSpec.mode`` which says what each point *measures*
 EXEC_MODES = ("auto", "pool", "batched")
-
-#: environment marker set inside pool workers; failure injection (the
-#: engine's own crash/hang tests) only ever fires where it is set, so
-#: the serial fallback path is immune by construction
-_WORKER_ENV = "_REPRO_SWEEP_WORKER"
 
 
 # ---------------------------------------------------------------------------
@@ -137,162 +128,100 @@ def execute_job(
 
 
 # ---------------------------------------------------------------------------
-# Pool worker
+# The pool
 # ---------------------------------------------------------------------------
 
 
-def _apply_injection(job: SweepJob, attempt: int) -> None:
-    """Honour a job's failure-injection knobs (tests only; guarded by
-    the worker environment marker)."""
-    inject = dict(job.inject or {})
-    if not inject or _WORKER_ENV not in os.environ:
-        return
-    if attempt <= int(inject.get("crash_attempts", 0)):
-        os._exit(32)  # simulate a hard worker death (segfault/OOM kill)
-    if attempt <= int(inject.get("hang_attempts", 0)):
-        time.sleep(float(inject.get("hang_seconds", 3600.0)))
-    if attempt <= int(inject.get("fail_attempts", 0)):
-        raise RuntimeError(f"injected failure (attempt {attempt})")
-
-
-def _worker_main(worker_id: int, task_q, result_q, cache_root: str | None):
-    """One pool worker: executes one task at a time until poisoned.
+def _worker_main(conn, parent_end, cache_root: str | None) -> None:
+    """One pool worker: executes one job at a time until sent None, or
+    until the parent dies (even by ``os._exit``: orphans never linger).
     Keeps a process-lifetime PassManager so repeated points of the same
     program share parse + front-end analyses even on cache misses."""
-    os.environ[_WORKER_ENV] = str(worker_id)
+    parent_end.close()
+    parent = multiprocessing.parent_process().sentinel
     cache = CompileCache(cache_root) if cache_root else None
     manager = PassManager()
     memo: dict = {}
-    while True:
-        task = task_q.get()
-        if task is None:
+    while parent not in wait([conn, parent]):
+        job = conn.recv()
+        if job is None:
             return
-        index, attempt, job = task
-        try:
-            _apply_injection(job, attempt)
-            result = execute_job(job, manager=manager, cache=cache, memo=memo)
-        except Exception:
-            result = SweepResult(
-                label=job.label,
-                program=job.program,
-                mode=job.mode,
-                procs=job.procs,
-                options=job.options,
-                ok=False,
-                error=traceback.format_exc(),
-            )
-        result_q.put((index, attempt, result))
-
-
-# ---------------------------------------------------------------------------
-# The supervisor
-# ---------------------------------------------------------------------------
+        conn.send(execute_job(job, manager=manager, cache=cache, memo=memo))
 
 
 @dataclass
 class _Worker:
     id: int
     proc: multiprocessing.Process
-    task_q: object
-    result_q: object
-    #: (job index, attempt, deadline or None) while busy
-    current: tuple[int, int, float | None] | None = None
+    conn: Connection
+    #: index of the job in flight, None while idle
+    current: int | None = None
 
 
 class _Supervisor:
+    """The plain N-process pool of the module docstring: at most
+    ``workers`` forked workers, one job each at a time; a dead worker's
+    job becomes a crash record and a replacement is spawned while jobs
+    remain."""
+
     def __init__(
         self,
         jobs: Sequence[SweepJob],
         *,
         workers: int,
-        timeout: float | None,
-        retries: int,
-        backoff: float,
         cache: CompileCache | None,
         tracer: Tracer,
         metrics: Metrics | None,
         on_result: Callable[[int, SweepResult], None] | None,
     ):
         self.jobs = jobs
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self.cache = cache
         self.tracer = tracer
         self.metrics = metrics
         self.on_result = on_result
         self.results: dict[int, SweepResult] = {}
-        #: (job index, attempt, earliest dispatch time)
-        self.pending: deque[tuple[int, int, float]] = deque(
-            (index, 1, 0.0) for index in range(len(jobs))
-        )
-        self.ctx = multiprocessing.get_context()
+        self.pending: deque[int] = deque(range(len(jobs)))
         self.workers: list[_Worker] = []
         self.target_workers = workers
         self.next_worker_id = 0
-        self.fallback_manager: PassManager | None = None
-        self.fallback_memo: dict = {}
 
-    # -- worker lifecycle --------------------------------------------------
-
-    def _spawn_worker(self) -> _Worker | None:
-        try:
-            task_q = self.ctx.Queue()
-            result_q = self.ctx.Queue()
-            worker_id = self.next_worker_id
-            self.next_worker_id += 1
-            proc = self.ctx.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    task_q,
-                    result_q,
-                    str(self.cache.root) if self.cache else None,
-                ),
-                daemon=True,
-                name=f"repro-sweep-{worker_id}",
-            )
-            proc.start()
-        except Exception:
-            return None
-        worker = _Worker(id=worker_id, proc=proc, task_q=task_q, result_q=result_q)
-        self.workers.append(worker)
-        return worker
-
-    def _discard_worker(self, worker: _Worker, *, kill: bool) -> None:
-        self.workers.remove(worker)
-        if kill and worker.proc.is_alive():
-            worker.proc.terminate()
-            worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():  # pragma: no cover - stubborn child
-                worker.proc.kill()
-                worker.proc.join(timeout=1.0)
-        else:
-            worker.proc.join(timeout=1.0)
-        # the queues die with the worker: a process killed mid-put may
-        # leave its own queue locked, so nothing shared is reused
+    def _spawn_worker(self) -> None:
+        conn, child_conn = multiprocessing.Pipe()
+        worker_id = self.next_worker_id
+        self.next_worker_id += 1
+        proc = multiprocessing.Process(
+            target=_worker_main,
+            args=(
+                child_conn,
+                conn,
+                str(self.cache.root) if self.cache else None,
+            ),
+            daemon=True,
+            name=f"repro-sweep-{worker_id}",
+        )
+        proc.start()
+        child_conn.close()
+        self.workers.append(_Worker(id=worker_id, proc=proc, conn=conn))
 
     def _shutdown(self) -> None:
-        for worker in list(self.workers):
+        for worker in self.workers:
             try:
-                worker.task_q.put_nowait(None)
-            except Exception:
+                worker.conn.send(None)
+            except OSError:
                 pass
         deadline = time.monotonic() + 2.0
-        for worker in list(self.workers):
+        for worker in self.workers:
             worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if worker.proc.is_alive():
                 worker.proc.terminate()
                 worker.proc.join(timeout=1.0)
-
-    # -- bookkeeping -------------------------------------------------------
+            worker.conn.close()
 
     def _inc(self, name: str, amount: float = 1) -> None:
         if self.metrics is not None:
             self.metrics.inc(name, amount)
 
-    def _record(self, index: int, attempt: int, result: SweepResult) -> None:
-        result.attempts = attempt
+    def _record(self, index: int, result: SweepResult) -> None:
         self.results[index] = result
         self._inc("sweep.jobs_ok" if result.ok else "sweep.jobs_failed")
         if result.cache_hit:
@@ -304,7 +233,6 @@ class _Supervisor:
             cat="sweep",
             label=result.label,
             ok=result.ok,
-            attempts=attempt,
             worker=result.worker,
             cache_hit=result.cache_hit,
             duration_s=round(result.duration_s, 6),
@@ -312,128 +240,58 @@ class _Supervisor:
         if self.on_result is not None:
             self.on_result(index, result)
 
-    def _serial_fallback(self, index: int, attempt: int, reason: str) -> None:
-        """The pool failed this job ``retries + 1`` times: run it here,
-        in-process, so the grid point is never lost."""
-        self._inc("sweep.serial_fallbacks")
-        if self.fallback_manager is None:
-            self.fallback_manager = PassManager()
-        job = self.jobs[index]
-        result = execute_job(
-            job,
-            manager=self.fallback_manager,
-            cache=self.cache,
-            memo=self.fallback_memo,
+    def _crashed(self, worker: _Worker) -> SweepResult:
+        """Drop a dead worker; its in-flight job becomes a crash record."""
+        self.workers.remove(worker)
+        worker.proc.join(timeout=1.0)
+        worker.conn.close()
+        self._inc("sweep.worker_crashes")
+        job = self.jobs[worker.current]
+        return SweepResult(
+            label=job.label,
+            program=job.program,
+            mode=job.mode,
+            procs=job.procs,
+            options=job.options,
+            ok=False,
+            error=f"worker crashed (exit code {worker.proc.exitcode})",
+            worker="crashed",
         )
-        result.worker = "serial-fallback"
-        if not result.ok and result.error is not None:
-            result.error = f"{reason}; serial fallback also failed:\n{result.error}"
-        self._record(index, attempt, result)
-
-    def _requeue(self, index: int, attempt: int, reason: str) -> None:
-        if attempt > self.retries:
-            self._serial_fallback(index, attempt, reason)
-            return
-        self._inc("sweep.retries")
-        delay = self.backoff * (2 ** (attempt - 1))
-        self.pending.append((index, attempt + 1, time.monotonic() + delay))
-
-    # -- the loop ----------------------------------------------------------
 
     def run(self) -> list[SweepResult]:
         total = len(self.jobs)
         try:
             while len(self.results) < total:
-                progressed = self._drain_results()
-                progressed |= self._reap_failures()
-                progressed |= self._dispatch()
-                if len(self.results) >= total:
-                    break
-                if not self.workers and self.pending:
-                    # the pool cannot be (re)built: degrade fully
-                    while self.pending:
-                        index, attempt, _ = self.pending.popleft()
-                        self._serial_fallback(
-                            index, attempt, "worker pool unavailable"
-                        )
-                    break
-                if not progressed:
-                    # short poll: warm (cache-hit) jobs complete in
-                    # single-digit milliseconds, so a coarse sleep here
-                    # would dominate the whole sweep's wall clock
-                    time.sleep(0.001)
+                unfinished = total - len(self.results)
+                while self.pending and len(self.workers) < min(
+                    self.target_workers, unfinished
+                ):
+                    self._spawn_worker()
+                for worker in self.workers:
+                    if worker.current is None and self.pending:
+                        worker.current = self.pending.popleft()
+                        try:
+                            worker.conn.send(self.jobs[worker.current])
+                        except OSError:
+                            pass  # dead already: its sentinel reports it
+                busy = [w for w in self.workers if w.current is not None]
+                ready = set(wait(
+                    [w.conn for w in busy] + [w.proc.sentinel for w in busy]
+                ))
+                for worker in busy:
+                    if not ready & {worker.conn, worker.proc.sentinel}:
+                        continue
+                    index = worker.current
+                    try:
+                        result = worker.conn.recv()
+                        result.worker = f"worker-{worker.id}"
+                        worker.current = None
+                    except (EOFError, OSError):
+                        result = self._crashed(worker)
+                    self._record(index, result)
         finally:
             self._shutdown()
         return [self.results[index] for index in range(total)]
-
-    def _drain_results(self) -> bool:
-        progressed = False
-        for worker in list(self.workers):
-            while True:
-                try:
-                    index, attempt, result = worker.result_q.get_nowait()
-                except (queue_mod.Empty, OSError, EOFError):
-                    break
-                result.worker = f"worker-{worker.id}"
-                worker.current = None
-                self._record(index, attempt, result)
-                progressed = True
-        return progressed
-
-    def _reap_failures(self) -> bool:
-        progressed = False
-        now = time.monotonic()
-        for worker in list(self.workers):
-            if worker.current is None:
-                if not worker.proc.is_alive():
-                    # idle worker died (startup failure): just drop it
-                    self._discard_worker(worker, kill=False)
-                    progressed = True
-                continue
-            index, attempt, deadline = worker.current
-            if not worker.proc.is_alive():
-                self._inc("sweep.worker_crashes")
-                self._discard_worker(worker, kill=False)
-                self._requeue(index, attempt, "worker crashed")
-                progressed = True
-            elif deadline is not None and now > deadline:
-                self._inc("sweep.timeouts")
-                self._discard_worker(worker, kill=True)
-                self._requeue(
-                    index, attempt, f"timed out after {self.timeout}s"
-                )
-                progressed = True
-        return progressed
-
-    def _dispatch(self) -> bool:
-        progressed = False
-        now = time.monotonic()
-        remaining = len(self.jobs) - len(self.results)
-        busy = sum(1 for w in self.workers if w.current is not None)
-        while (
-            len(self.workers) < min(self.target_workers, remaining)
-            and len(self.workers) - busy == 0
-            and self.pending
-        ):
-            if self._spawn_worker() is None:
-                break
-        for worker in self.workers:
-            if worker.current is not None or not self.pending:
-                continue
-            index, attempt, ready = self.pending[0]
-            if ready > now:
-                continue
-            self.pending.popleft()
-            deadline = now + self.timeout if self.timeout else None
-            try:
-                worker.task_q.put((index, attempt, self.jobs[index]))
-            except Exception:
-                self._discard_worker(worker, kill=True)
-                self._requeue(index, attempt, "task dispatch failed")
-                continue
-            worker.current = (index, attempt, deadline)
-            progressed = True
-        return progressed
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +303,6 @@ def _run_job_list(
     jobs: Sequence[SweepJob],
     *,
     workers: int,
-    timeout: float | None,
-    retries: int,
-    backoff: float,
     cache: CompileCache | None,
     manager: PassManager | None,
     tracer: Tracer,
@@ -455,7 +310,7 @@ def _run_job_list(
     on_result: Callable[[int, SweepResult], None],
 ) -> list[SweepResult]:
     """The per-job execution paths (serial in-process, or the
-    supervised pool), shared by the pool mode and the batched mode's
+    process pool), shared by the pool mode and the batched mode's
     non-batchable remainder.  ``on_result`` gets each result with its
     index in ``jobs``."""
     if workers <= 1 or len(jobs) == 1:
@@ -481,9 +336,6 @@ def _run_job_list(
     supervisor = _Supervisor(
         jobs,
         workers=workers,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
         cache=cache,
         tracer=tracer,
         metrics=metrics,
@@ -496,9 +348,6 @@ def run_sweep(
     spec: SweepSpec | Iterable[SweepJob],
     *,
     workers: int | None = None,
-    timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.1,
     cache: CompileCache | str | os.PathLike | bool | None = None,
     manager: PassManager | None = None,
     tracer: Tracer | None = None,
@@ -512,10 +361,10 @@ def run_sweep(
     ``workers``: None picks ``min(cpu_count, job count)``; 0 or 1
     forces in-process serial execution (sharing ``manager`` across
     points, so front-end analyses are reused like the table builders
-    always did).  ``timeout`` is per job, in seconds; ``retries``
-    bounds how often a crashed or timed-out job is redispatched
-    (with ``backoff * 2**attempt`` delays) before the supervisor runs
-    it serially itself.  ``cache`` enables the persistent compile
+    always did).  A pool worker that dies forfeits its one in-flight
+    point, which comes back ``ok=False`` with ``worker="crashed"``;
+    nothing is retried (:meth:`repro.api.Session.submit` is the
+    durable path).  ``cache`` enables the persistent compile
     cache (path, True for the default root, or a
     :class:`CompileCache`).  ``on_result(result)`` and
     ``on_point(index, result)`` fire as each point completes, in
@@ -586,9 +435,6 @@ def run_sweep(
             rest_results = _run_job_list(
                 [jobs[i] for i in leftover],
                 workers=min(workers, len(leftover)),
-                timeout=timeout,
-                retries=retries,
-                backoff=backoff,
                 cache=disk_cache,
                 manager=manager,
                 tracer=tracer,

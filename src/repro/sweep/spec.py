@@ -58,10 +58,6 @@ class SweepJob:
     #: rng seed for generated simulator inputs
     seed: int = 0
     label: str = ""
-    #: failure-injection knobs, honoured only inside pool workers (the
-    #: engine's crash/timeout tests): ``crash_attempts`` /
-    #: ``hang_attempts`` (+ ``hang_seconds``) / ``fail_attempts``
-    inject: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -161,9 +157,11 @@ class SweepResult:
     options: CompilerOptions
     ok: bool = True
     error: str | None = None
-    #: executions needed (1 = first try; crashes/timeouts retry)
+    #: executions of this point by the engine (always 1: the engine
+    #: never retries; the service re-claims a crashed shard instead)
     attempts: int = 1
-    #: "serial", "worker-N", or "serial-fallback"
+    #: "serial", "worker-N", "batched", "batched-fallback", "catalog",
+    #: or "crashed" (its pool worker died; ``ok`` is False)
     worker: str = "serial"
     #: the compile came from the persistent cache
     cache_hit: bool = False

@@ -156,6 +156,29 @@ class TestCompletion:
         assert queue.claim("me:1:b") is not None
 
 
+class TestPoisonShard:
+    def test_shard_that_keeps_failing_fails_its_job(self, tmp_path):
+        from repro.service.queue import MAX_SHARD_ATTEMPTS
+
+        queue = JobQueue(tmp_path / "q.sqlite")
+        job_id = _submit(queue, _spec().jobs(), shards=1)
+        for attempt in range(MAX_SHARD_ATTEMPTS):
+            claim = queue.claim(f"me:1:{attempt}")
+            assert claim is not None and claim.job_id == job_id
+            queue.release_shard(job_id, claim.shard, claim.owner, "crashed")
+        healthy = _submit(queue, _spec().jobs(), shards=1)
+        # the poison shard is not leased again: its job fails and the
+        # claim moves on to the next job's work
+        claim = queue.claim("me:1:next")
+        assert claim is not None and claim.job_id == healthy
+        status = queue.status(job_id)
+        assert status.state == "failed"
+        assert "shard 0" in status.error
+        assert f"after {MAX_SHARD_ATTEMPTS} attempts" in status.error
+        assert queue.events_since(job_id)[-1].kind == "failed"
+        assert queue.claim("me:1:last") is None
+
+
 class TestCancel:
     def test_cancel_stops_heartbeats(self, tmp_path):
         queue = JobQueue(tmp_path / "q.sqlite")

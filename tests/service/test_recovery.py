@@ -1,15 +1,18 @@
-"""Crash recovery: a worker killed mid-job forfeits only its lease.
-A restarted worker completes the job with canonical stats
+"""Crash recovery: a worker killed mid-job forfeits only its lease,
+and a pool worker killed mid-job forfeits only its point.  The queue
+re-claims the work; the job completes with canonical stats
 byte-identical to an uninterrupted run, and the catalog shows each
 grid point evaluated exactly once (commit-level: completed points are
 never re-run; only uncommitted in-flight work repeats)."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import repro
+import repro.sweep.engine
 from repro.records import comparable
 from repro.service import KILL_AFTER_ENV, SweepService
 from repro.service.service import KILLED_EXIT_CODE
@@ -28,12 +31,13 @@ service.serve_forever(once=True)
 """
 
 
-def _spec(procs=(2, 3, 4, 5)):
+def _spec(procs=(2, 3, 4, 5), **kwargs):
     from repro.programs import tomcatv_source
 
     return SweepSpec(
         programs={"tomcatv": lambda p: tomcatv_source(n=10, niter=1, procs=p)},
         procs=procs,
+        **kwargs,
     )
 
 
@@ -54,9 +58,19 @@ def _serve_subprocess(root, kill_after=None):
 
 
 def _canon(results):
-    return json.dumps(
-        [comparable(r.as_dict()) for r in results], sort_keys=True
-    )
+    records = [comparable(r.as_dict()) for r in results]
+    for record in records:
+        if record.get("report") is not None:
+            # statement ids come from a process-global counter, so a
+            # report compiled in a pool worker numbers them differently:
+            # number them by first appearance instead
+            ids: dict = {}
+            record["report"] = re.sub(
+                r"\bS\d+\b",
+                lambda m: ids.setdefault(m.group(), f"S#{len(ids)}"),
+                record["report"],
+            )
+    return json.dumps(records, sort_keys=True)
 
 
 class TestCrashRecovery:
@@ -94,6 +108,49 @@ class TestCrashRecovery:
         assert "reclaimed" in kinds or "claimed" in kinds
         assert kinds[-1] == "done"
         client.close()
+
+    def test_killed_pool_worker_point_is_reclaimed(
+        self, tmp_path, monkeypatch
+    ):
+        # compile-mode points do not batch, so they reach the pool
+        spec = _spec(mode="compile")
+        jobs = spec.jobs()
+        reference = SweepService(tmp_path / "ref", backend="inline")
+        ref_handle = reference.submit(spec)
+        reference.serve_forever(once=True)
+        ref_results = ref_handle.result(timeout=60)
+        reference.close()
+
+        # the first pool worker to reach the doomed point dies on it;
+        # patched before the pool forks, so the workers inherit it
+        parent, doomed = os.getpid(), jobs[1].label
+        died = tmp_path / "died"
+        execute_job = repro.sweep.engine.execute_job
+
+        def dies_once(job, **kwargs):
+            if job.label == doomed and os.getpid() != parent:
+                if not died.exists():
+                    died.touch()
+                    os._exit(KILLED_EXIT_CODE)
+            return execute_job(job, **kwargs)
+
+        monkeypatch.setattr(repro.sweep.engine, "execute_job", dies_once)
+        service = SweepService(tmp_path / "svc", backend="pool:2")
+        handle = service.submit(spec, shards=1)
+        service.serve_forever(once=True)
+
+        assert died.exists(), "no pool worker was killed"
+        assert handle.poll().state == "done"
+        assert _canon(handle.result(timeout=60)) == _canon(ref_results)
+        assert all(
+            service.catalog.evaluations(job) == 1 for job in jobs
+        ), "a grid point was evaluated more than once after the crash"
+        kinds = [e.kind for e in handle.stream_events(timeout=5)]
+        released = kinds.index("released")
+        assert kinds[:released].count("claimed") == 1
+        assert "claimed" in kinds[released + 1:]
+        assert kinds[-1] == "done"
+        service.close()
 
     def test_kill_marker_fires_between_commits(self, tmp_path, monkeypatch):
         """In-process check of the injection point: the service exits

@@ -10,14 +10,7 @@ from repro.core import CompilerOptions
 from repro.obs import Metrics
 from repro.programs import tomcatv_source
 from repro.records import comparable
-from repro.service import (
-    InlineBackend,
-    JobFailed,
-    PoolBackend,
-    SweepService,
-    as_backend,
-    shard_jobs,
-)
+from repro.service import JobFailed, SweepService, shard_jobs
 from repro.sweep import run_sweep
 from repro.sweep.spec import SweepJob, SweepSpec
 
@@ -178,17 +171,16 @@ class TestSessionSubmit:
 
 
 class TestBackends:
-    def test_as_backend_forms(self):
-        assert isinstance(as_backend(None), InlineBackend)
-        assert isinstance(as_backend("inline"), InlineBackend)
-        pool = as_backend("pool:3")
-        assert isinstance(pool, PoolBackend) and pool.workers == 3
-        backend = InlineBackend()
-        assert as_backend(backend) is backend
-        with pytest.raises(ValueError, match="unknown worker backend"):
-            as_backend("cloud")
-        with pytest.raises(TypeError, match="not a worker backend"):
-            as_backend(42)
+    def test_as_backend_forms(self, tmp_path):
+        """A backend name only sets the evaluation pool's size."""
+        forms = {None: 0, "inline": 0, "pool": 2, "pool:3": 3}
+        for backend, workers in forms.items():
+            service = SweepService(tmp_path / "svc", backend=backend)
+            assert service.workers == workers
+            service.close()
+        for bad in ("cloud", "inline:2"):
+            with pytest.raises(ValueError, match="unknown worker backend"):
+                SweepService(tmp_path / "svc", backend=bad)
 
     def test_pool_backend_matches_inline(self, tmp_path):
         spec = _spec()

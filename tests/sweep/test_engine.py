@@ -1,11 +1,12 @@
 """The sweep engine: grid expansion, serial/parallel parity, and the
-supervised failure paths (crash retry, timeout kill, serial
-fallback)."""
+pool's one failure path (a killed worker forfeits exactly its job)."""
 
+import os
 import time
 
 import pytest
 
+import repro.sweep.engine
 from repro.core.driver import CompilerOptions
 from repro.obs import Metrics
 from repro.programs import dgefa_source, tomcatv_source
@@ -107,13 +108,6 @@ class TestSerial:
         )
         assert not r.ok and "ParseError" in r.error
 
-    def test_injection_is_inert_outside_workers(self):
-        (r,) = run_sweep(
-            [_job(inject={"crash_attempts": 99, "fail_attempts": 99})],
-            workers=0,
-        )
-        assert r.ok and r.worker == "serial"
-
 
 class TestParallel:
     def test_parity_with_serial(self):
@@ -125,78 +119,60 @@ class TestParallel:
         serial = run_sweep(spec, workers=0, mode="pool")
         # force the pool: in auto mode the procs axis now fuses into
         # batches and this grid would never reach a worker process
-        parallel = run_sweep(spec, workers=2, timeout=120, mode="pool")
+        parallel = run_sweep(spec, workers=2, mode="pool")
         assert [r.label for r in serial] == [r.label for r in parallel]
         for s, p in zip(serial, parallel):
             assert s.ok and p.ok
             assert p.total_time == pytest.approx(s.total_time, abs=0, rel=0)
             assert p.worker.startswith("worker-")
 
-    def test_crash_is_retried(self):
-        metrics = Metrics()
-        jobs = [
-            _job("crashy", inject={"crash_attempts": 1}),
-            _job(),
-        ]
-        results = run_sweep(
-            jobs, workers=2, retries=2, backoff=0.02, timeout=120,
-            metrics=metrics,
-        )
-        crashy = next(r for r in results if r.label == "crashy")
-        assert crashy.ok and crashy.attempts == 2
-        assert metrics.counters["sweep.worker_crashes"] == 1
-        assert metrics.counters["sweep.retries"] == 1
+    def test_killed_worker_forfeits_only_its_job(self, monkeypatch):
+        """A pool worker that dies mid-job forfeits exactly that job: it
+        comes back ok=False with the crash marker, a replacement worker
+        finishes the rest, and results stay in job order."""
+        parent = os.getpid()
+        execute_job = repro.sweep.engine.execute_job
 
-    def test_exhausted_retries_fall_back_to_serial(self):
-        metrics = Metrics()
-        jobs = [
-            _job("doomed", inject={"crash_attempts": 99}),
-            _job(),
-        ]
-        results = run_sweep(
-            jobs, workers=2, retries=1, backoff=0.02, timeout=120,
-            metrics=metrics,
-        )
-        doomed = next(r for r in results if r.label == "doomed")
-        assert doomed.ok
-        assert doomed.worker == "serial-fallback"
-        assert metrics.counters["sweep.serial_fallbacks"] == 1
-        # the fallback's numbers agree with a plain serial run
-        (reference,) = run_sweep([_job()], workers=0)
-        assert doomed.total_time == pytest.approx(reference.total_time)
+        def dies_on_doomed(job, **kwargs):
+            if job.label == "doomed" and os.getpid() != parent:
+                os._exit(32)  # a hard worker death (segfault/OOM kill)
+            return execute_job(job, **kwargs)
 
-    def test_timeout_kills_and_retries(self):
+        # patched before the pool forks, so the workers inherit it
+        monkeypatch.setattr(repro.sweep.engine, "execute_job", dies_on_doomed)
         metrics = Metrics()
-        jobs = [
-            _job("hang", inject={"hang_attempts": 1, "hang_seconds": 120}),
-            _job(),
-        ]
+        labels = ["a", "doomed", "b", "c", "d"]
         start = time.monotonic()
         results = run_sweep(
-            jobs, workers=2, retries=2, backoff=0.02, timeout=2.0,
+            [_job(label) for label in labels],
+            workers=2,
+            mode="pool",
             metrics=metrics,
         )
         assert time.monotonic() - start < 60
-        hang = next(r for r in results if r.label == "hang")
-        assert hang.ok and hang.attempts == 2
-        assert metrics.counters["sweep.timeouts"] == 1
+        assert [r.label for r in results] == labels
+        doomed = results[1]
+        assert not doomed.ok and doomed.worker == "crashed"
+        assert doomed.error == "worker crashed (exit code 32)"
+        rest = results[:1] + results[2:]
+        assert all(r.ok and r.worker.startswith("worker-") for r in rest)
+        assert metrics.counters["sweep.worker_crashes"] == 1
+        assert metrics.counters["sweep.jobs_failed"] == 1
 
     def test_deterministic_failure_is_not_retried(self):
-        jobs = [
-            _job("raiser", inject={"fail_attempts": 5}),
-            _job(),
-        ]
-        results = run_sweep(jobs, workers=2, retries=3, timeout=120)
+        jobs = [_job("raiser", program="bad", source="garbage ! x"), _job()]
+        results = run_sweep(jobs, workers=2, mode="pool")
         raiser = next(r for r in results if r.label == "raiser")
         assert not raiser.ok
         assert raiser.attempts == 1
-        assert "injected failure" in raiser.error
+        assert raiser.worker.startswith("worker-")
+        assert "ParseError" in raiser.error
 
     def test_disk_cache_shared_across_workers(self, tmp_path):
         jobs = [_job(), _job(options=CompilerOptions(num_procs=4), procs=4)]
-        cold = run_sweep(jobs, workers=2, cache=tmp_path, timeout=120)
+        cold = run_sweep(jobs, workers=2, cache=tmp_path)
         assert not any(r.cache_hit for r in cold)
-        warm = run_sweep(jobs, workers=2, cache=tmp_path, timeout=120)
+        warm = run_sweep(jobs, workers=2, cache=tmp_path)
         assert all(r.cache_hit for r in warm)
         for c, w in zip(cold, warm):
             assert w.total_time == pytest.approx(c.total_time, abs=0, rel=0)

@@ -79,7 +79,7 @@ class TestPartitionInvariant:
             _job(options=CompilerOptions(num_procs=2, machine=FAST)),  # lane 1
             _job(mode="compile"),  # leftover: not batchable
             _job(mode="estimate"),  # batch B (mode differs)
-            _job(inject={"fail_attempts": 1}),  # leftover: inject
+            _job(mode="compile", seed=1),  # leftover: not batchable
             # lane 2 of batch A: the procs axis is a lane dimension
             # now, so a different count is a sub-group, not a new batch
             _job(procs=4, options=CompilerOptions(num_procs=4)),
