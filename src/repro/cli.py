@@ -683,15 +683,14 @@ def cmd_catalog(args) -> int:
             _emit_json(args, {"stats": catalog.stats_dict(), "rows": rows})
         else:
             for row in rows:
-                key = row.get("key") or row.get("point_key") or row.get("path")
+                key = row.get("key") or row.get("point_key")
                 tag = row["table"]
                 use = row.get("uses", row.get("reuses", ""))
                 print(f"{tag:>12}  {str(key)[:20]:20s}  "
                       f"{row.get('program', ''):12s}  uses={use}")
             stats = catalog.stats_dict()
             print(f"{stats['artifacts']['entries']} artifact(s), "
-                  f"{stats['results']['entries']} result(s), "
-                  f"{stats['calibrations']} calibration(s)")
+                  f"{stats['results']['entries']} result(s)")
     elif args.action == "show":
         try:
             record = catalog.show(args.key)
@@ -972,10 +971,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_ls = catalog_sub.add_parser(
-        "ls", help="list catalogued artifacts, results, calibrations"
+        "ls", help="list catalogued artifacts and results"
     )
     p_ls.add_argument(
-        "--kind", choices=["all", "artifacts", "results", "calibrations"],
+        "--kind", choices=["all", "artifacts", "results"],
         default="all",
     )
     _add_service_flags(p_ls)

@@ -84,7 +84,7 @@ class VectorMachine:
     #
     # ``procs`` may be a scalar int (every lane prices the same span — the
     # machine-lane sweep case) or a ``(lanes,)`` int vector (each lane has
-    # its own processor count — the procs-lane sweep case).  Per-lane
+    # its own processor count — the procs-lane estimate).  Per-lane
     # round counts are computed with the *scalar* ``math`` path per entry
     # so each lane is bitwise identical to its dedicated scalar model;
     # lanes with ``procs <= 1`` are masked to the scalar early-return
@@ -263,15 +263,15 @@ class VectorClocks(Clocks):
 class ProcsVectorMachine(VectorMachine):
     """Machine lanes that additionally carry a per-lane processor count.
 
-    This is the procs-axis-as-lane-dimension machine: lane ``m`` prices
-    costs for ``models[m]`` running on ``procs[m]`` ranks arranged as
-    ``grid_shapes[m]``.  The collective methods inherited from
-    :class:`VectorMachine` already accept per-lane ``procs`` vectors
-    (so mixed-procs lanes are never priced with one shared span), and
-    the convenience ``lane_*`` wrappers charge each lane at its own
-    count.  Consumers: the procs-lane clock structure below, the
-    estimator's one-call procs-vector pricing, and the P-parametric
-    slab-charging property tests.
+    Lane ``m`` prices costs for ``models[m]`` running on ``procs[m]``
+    ranks arranged as ``grid_shapes[m]``.  Its one consumer is the
+    estimator's procs-vector pricing: :class:`~repro.perf.estimator.
+    PerfEstimator` reads ``grid_shapes`` and turns every grid-dependent
+    quantity into a ``(lanes,)`` vector, so one ``estimate()`` call
+    prices a whole batch of (procs, machine) cells.  The collective
+    methods inherited from :class:`VectorMachine` already accept a
+    per-lane ``procs`` vector.  Simulation never runs on this machine:
+    each procs value is simulated at its own rank count.
     """
 
     def __init__(
@@ -305,169 +305,4 @@ class ProcsVectorMachine(VectorMachine):
         self.grid_shapes = grid_shapes or tuple(
             (int(p),) for p in self.procs
         )
-        self.max_procs = int(self.procs.max())
         self.name = "procs-" + self.name
-
-    # -- per-lane-count collectives ---------------------------------------
-
-    def lane_broadcast_time(self, elements: int) -> np.ndarray:
-        return self.broadcast_time(elements, self.procs)
-
-    def lane_reduce_time(self, elements: int) -> np.ndarray:
-        return self.reduce_time(elements, self.procs)
-
-    def lane_gather_time(self, elements: int) -> np.ndarray:
-        return self.gather_time(elements, self.procs)
-
-    def lane_alltoall_time(self, elements: int) -> np.ndarray:
-        return self.alltoall_time(elements, self.procs)
-
-
-class ProcsVectorClocks(VectorClocks):
-    """Lane clocks for a procs vector: per-rank state laid out over the
-    *maximum* rank count, with validity masks.
-
-    Lane ``m`` only populates ranks ``0 .. procs[m]-1``; the remaining
-    rows are masked off so a charge addressed to rank ``r`` advances
-    exactly the lanes where rank ``r`` exists.  Charges on valid lanes
-    repeat the scalar operation sequence (``max`` start resolution,
-    then ``+ dt``), so each lane's clocks are bitwise what a dedicated
-    ``procs[m]``-rank run with ``models[m]`` would produce.  Collectives
-    derive their span *per lane* from the validity masks and price it
-    through the per-lane ``procs`` collective path, so a global
-    collective over ranks ``0..max_procs`` is simultaneously a
-    ``procs[m]``-wide collective in every lane.
-
-    Two ways to fill one: drive it directly (masked charging — the
-    P-parametric slab-charging path), or :meth:`adopt` the columns of
-    per-procs sub-simulations (the batched sweep's fuse-at-extract
-    path for programs whose instruction streams differ across P).
-    """
-
-    def __init__(self, machine: ProcsVectorMachine):
-        super().__init__(machine.max_procs, machine)
-        self.procs = machine.procs
-        #: per-rank ``(lanes,)`` bool: does this rank exist in the lane?
-        self.valid = [
-            np.asarray(self.procs > r) for r in range(machine.max_procs)
-        ]
-
-    # -- masked charging ---------------------------------------------------
-
-    def charge_compute(self, rank: int, flops: int) -> None:
-        dt = np.where(
-            self.valid[rank], self.machine.compute_time(flops, 1), 0.0
-        )
-        self.time[rank] = self.time[rank] + dt
-        self.compute_time[rank] = self.compute_time[rank] + dt
-
-    def charge_compute_tape(self, rank: int, dts: np.ndarray) -> None:
-        if dts.size == 0:
-            return
-        # a 0.0 charge is a bitwise no-op (+0.0 + x == x), so masking a
-        # lane's column to zero freezes its clocks through the fold
-        super().charge_compute_tape(rank, np.where(self.valid[rank], dts, 0.0))
-
-    def charge_message(self, src: int, dst: int, elements: int) -> None:
-        live = self.valid[src] & self.valid[dst]
-        dt = self.machine.message_time(elements)
-        start = np.maximum(self.time[src], self.time[dst])
-        end = start + dt
-        self.time[src] = np.where(live, end, self.time[src])
-        self.time[dst] = np.where(live, end, self.time[dst])
-        self.comm_time[src] = np.where(
-            live, self.comm_time[src] + dt, self.comm_time[src]
-        )
-        self.comm_time[dst] = np.where(
-            live, self.comm_time[dst] + dt, self.comm_time[dst]
-        )
-
-    def charge_message_amortized(
-        self, src: int, dst: int, elements: int, startup: bool
-    ) -> None:
-        live = self.valid[src] & self.valid[dst]
-        dt = self.machine.beta * self.machine.element_bytes * elements
-        if startup:
-            dt = dt + self.machine.alpha
-        start = np.maximum(self.time[src], self.time[dst])
-        end = start + dt
-        self.time[src] = np.where(live, end, self.time[src])
-        self.time[dst] = np.where(live, end, self.time[dst])
-        self.comm_time[src] = np.where(
-            live, self.comm_time[src] + dt, self.comm_time[src]
-        )
-        self.comm_time[dst] = np.where(
-            live, self.comm_time[dst] + dt, self.comm_time[dst]
-        )
-
-    def charge_collective(self, ranks: list, elements: int, kind: str) -> None:
-        if not ranks:
-            return
-        # per-lane span: how many of the addressed ranks exist there
-        spans = np.zeros(self.lanes, dtype=np.int64)
-        for r in ranks:
-            spans = spans + self.valid[r]
-        if kind == "reduce":
-            dt = self.machine.reduce_time(elements, spans)
-        else:
-            dt = self.machine.broadcast_time(elements, spans)
-        # start = max over each lane's participating ranks, folded in
-        # rank order exactly like the scalar loop
-        start = np.full(self.lanes, -np.inf, dtype=np.float64)
-        for r in ranks:
-            start = np.where(
-                self.valid[r], np.maximum(start, self.time[r]), start
-            )
-        end = start + dt
-        live = spans >= 2  # scalar early-returns on <= 1 participants
-        for r in ranks:
-            hit = live & self.valid[r]
-            self.time[r] = np.where(hit, end, self.time[r])
-            self.comm_time[r] = np.where(
-                hit, self.comm_time[r] + dt, self.comm_time[r]
-            )
-
-    # -- adoption ----------------------------------------------------------
-
-    def adopt(self, lane_start: int, clocks: VectorClocks) -> None:
-        """Copy a sub-simulation's per-rank lane columns into lanes
-        ``lane_start .. lane_start + clocks.lanes``.  The sub-run must
-        have exactly the rank count those lanes declare."""
-        stop = lane_start + clocks.lanes
-        ranks = len(clocks.time)
-        expected = self.procs[lane_start:stop]
-        if np.any(expected != ranks):
-            raise ValueError(
-                f"sub-run has {ranks} rank(s) but lanes "
-                f"{lane_start}..{stop - 1} declare {expected.tolist()}"
-            )
-        for r in range(ranks):
-            self.time[r][lane_start:stop] = clocks.time[r]
-            self.compute_time[r][lane_start:stop] = clocks.compute_time[r]
-            self.comm_time[r][lane_start:stop] = clocks.comm_time[r]
-
-    # -- extraction --------------------------------------------------------
-
-    def lane_snapshot(self, lane: int) -> dict[str, list[float]]:
-        """The scalar snapshot of one lane: only its ``procs[lane]``
-        live ranks appear, exactly like a dedicated run's ``Clocks``."""
-        count = int(self.procs[lane])
-        return {
-            "time": [float(t[lane]) for t in self.time[:count]],
-            "compute_time": [
-                float(t[lane]) for t in self.compute_time[:count]
-            ],
-            "comm_time": [float(t[lane]) for t in self.comm_time[:count]],
-        }
-
-    def lane_elapsed(self, lane: int) -> float:
-        times = [float(t[lane]) for t in self.time[: int(self.procs[lane])]]
-        return max(times) if times else 0.0
-
-    @property
-    def elapsed(self):
-        """Per-lane makespans over each lane's *valid* ranks only."""
-        out = np.zeros(self.lanes, dtype=np.float64)
-        for r, t in enumerate(self.time):
-            out = np.where(self.valid[r], np.maximum(out, t), out)
-        return out

@@ -52,7 +52,7 @@ from ..ir.expr import (
 )
 from ..ir.stmt import AssignStmt, ContinueStmt, IfStmt, LoopStmt
 from ..ir.symbols import ScalarType
-from .stats import sequential_prefix_sum, sequential_sum
+from .stats import sequential_sum
 
 _MISSING = object()
 
@@ -68,155 +68,16 @@ class _Bail(Exception):
 _BOUND_ERRORS = (InterpreterError, ArithmeticError, ValueError, OverflowError)
 
 
-# ---------------------------------------------------------------------------
-# P-parametric charging forms
-# ---------------------------------------------------------------------------
-#
-# The quantities a slab charges — per-rank slab widths, trip counts,
-# collective spans — are small closed-form functions of the processor
-# count P, not intrinsically pre-evaluated ints.  The helpers below keep
-# them that way: each accepts P as a plain int (the ordinary simulation
-# path, returning ints bit-identical to the previous inline arithmetic)
-# *or* as an int vector (the procs-lane sweep path, returning the
-# per-lane values elementwise).  The runtime plans route their width and
-# trip arithmetic through these forms, and :class:`PColumnCharge`
-# packages a column nest's whole charge structure so one procs vector is
-# priced in a single prefix fold (``charge_column_lanes``).  Nests whose
-# structure is not expressible this way (cyclic formats, value-dependent
-# executor positions) simply carry no charge model — they re-enter the
-# ordinary fallback ladder and are charged from the concrete owner
-# tables, exactly as before.
-
-
-def _ceil_div(a, b):
-    """Ceiling division, elementwise on arrays, exact on ints."""
-    return -(-a // b)
-
-
 def slab_trip_count(low, high, step):
     """Trip count of ``DO v = low, high, step`` (0 when empty).
 
     Closed form ``max(0, (high - low + step) // step)``; ``low``/
-    ``high`` may be per-column vectors (triangular nests) and any
-    argument may carry a procs-lane axis."""
+    ``high`` may be per-column vectors (triangular nests), in which
+    case the result is the per-column vector of trip counts."""
     n = (high - low + step) // step
     if np.ndim(n) == 0:
         return max(int(n), 0)
     return np.maximum(n, 0)
-
-
-def slab_block_size(extent, procs):
-    """BLOCK slab width ``ceil(extent / P)`` as a function of P."""
-    return _ceil_div(extent, procs)
-
-
-def slab_local_count(extent, procs, coord):
-    """Elements of a BLOCK-distributed extent owned by ``coord``:
-    ``clamp(extent - coord*ceil(extent/P), 0, ceil(extent/P))``."""
-    bs = slab_block_size(extent, procs)
-    count = np.maximum(np.minimum(bs, extent - coord * bs), 0)
-    return int(count) if np.ndim(count) == 0 else count
-
-
-def slab_rank_span(extent, procs):
-    """Grid coordinates owning at least one element (the collective
-    span of a section-wide transfer): ``min(P, ceil(extent / B(P)))``."""
-    span = np.minimum(_ceil_div(extent, slab_block_size(extent, procs)), procs)
-    return int(span) if np.ndim(span) == 0 else span
-
-
-def slab_owned_trips(extent, procs, coord, first, stride, trips):
-    """How many terms of the position progression ``first, first +
-    stride, ...`` (``trips`` terms) fall in BLOCK ``coord``'s section —
-    the per-rank column count as a closed form in P.
-
-    Derivation: the section is ``[coord*B, min((coord+1)*B, extent))``
-    with ``B = ceil(extent/P)``; intersecting a half-open index range
-    with an arithmetic progression is two ceiling divisions."""
-    bs = slab_block_size(extent, procs)
-    lo = coord * bs
-    hi = np.minimum(lo + bs, extent)
-    if stride == 0:
-        inside = (first >= lo) & (first < hi)
-        count = trips * inside
-        return int(count) if np.ndim(count) == 0 else count.astype(np.int64)
-    if stride > 0:
-        k0 = _ceil_div(lo - first, stride)
-        k1 = _ceil_div(hi - first, stride)
-    else:
-        k0 = _ceil_div(first - hi + 1, -stride)
-        k1 = (first - lo) // (-stride) + 1
-    count = np.maximum(np.clip(k1, 0, trips) - np.clip(k0, 0, trips), 0)
-    return int(count) if np.ndim(count) == 0 else count
-
-
-@dataclass(frozen=True)
-class PColumnCharge:
-    """The charge structure of one column-style slab nest, parametric
-    in P.
-
-    A :class:`ColumnPlan` takeover charges rank ``r`` the per-column
-    tape repeated once per owned column; the owned-column count is
-    :func:`slab_owned_trips` — a closed form in P — whenever the
-    executor position is BLOCK-distributed and affine in the column
-    index.  ``unit_len`` is the tape length per column
-    (``len(pre) + nsteps*len(body) + len(post)``, P-independent since
-    inner bounds are takeover-invariant)."""
-
-    extent: int  #: distributed extent of the executor position dim
-    first: int  #: position of the first column
-    stride: int  #: position stride between consecutive columns
-    trips: int  #: number of columns (outer trip count)
-    unit_len: int  #: charge-tape entries per column
-
-    def columns(self, procs, coord):
-        """Columns rank ``coord`` owns — elementwise in ``procs``."""
-        return slab_owned_trips(
-            self.extent, procs, coord, self.first, self.stride, self.trips
-        )
-
-    def rank_steps(self, procs, coord):
-        """Charge-tape entries rank ``coord`` folds, as a function of P."""
-        return self.columns(procs, coord) * self.unit_len
-
-    def span(self, procs):
-        """Ranks charged at all (owners of >= 1 column)."""
-        if np.ndim(procs) == 0:
-            return sum(
-                1 for r in range(int(procs)) if self.columns(procs, r) > 0
-            )
-        return np.asarray([self.span(int(p)) for p in procs], dtype=np.int64)
-
-
-def charge_column_lanes(clocks, charge: PColumnCharge, unit) -> None:
-    """Charge one column nest for a whole procs vector in one pass.
-
-    ``clocks`` are procs-lane clocks
-    (:class:`~repro.machine.batchexec.ProcsVectorClocks`), ``unit`` the
-    per-column dt tape (``(k,)`` shared across lanes or ``(k, lanes)``
-    per-lane).  Rank ``r`` in lane ``m`` folds exactly
-    ``charge.columns(P_m, r) * k`` entries of one shared tape padded to
-    the widest lane — the prefix-fold trick: zero rows past a lane's
-    own steps never enter its prefix, so every lane reproduces its
-    dedicated scalar fold bitwise."""
-    lanes = clocks.lanes
-    unit = np.asarray(unit, dtype=np.float64)
-    if unit.ndim == 1:
-        unit = np.broadcast_to(unit[:, None], (unit.shape[0], lanes))
-    k = unit.shape[0]
-    if k == 0:
-        return
-    for r in range(len(clocks.time)):
-        cols = np.asarray(charge.columns(clocks.procs, r), dtype=np.int64)
-        max_cols = int(cols.max())
-        if max_cols == 0:
-            continue
-        tape = np.tile(unit, (max_cols, 1))
-        steps = cols * k
-        clocks.time[r] = sequential_prefix_sum(clocks.time[r], tape, steps)
-        clocks.compute_time[r] = sequential_prefix_sum(
-            clocks.compute_time[r], tape, steps
-        )
 
 
 def _canon_form(form) -> tuple:
@@ -1892,8 +1753,8 @@ class _NestPlan:
         return st
 
     def _place(self, low: int, step: int, nj: int, env) -> tuple:
-        """Lay out the ``nj`` columns: their ``j`` values, executor
-        positions and executing ranks, and each rank's columns."""
+        """Lay out the ``nj`` columns: their ``j`` values, executing
+        ranks, and each rank's columns."""
         sim = self.sim
         jvec = low + step * np.arange(nj, dtype=np.int64)
         pos = _affine_vec(self.nest.pos_form, {self.j: jvec}, env)
@@ -1913,7 +1774,7 @@ class _NestPlan:
             int(r): np.nonzero(exec_col == r)[0]
             for r in np.unique(exec_col)
         }
-        return jvec, pos, exec_col, cols_of
+        return jvec, exec_col, cols_of
 
     def _bound(self, expr, env):
         """An inner bound, evaluated once (checked invariant) and
@@ -1979,9 +1840,6 @@ class ColumnPlan(_NestPlan):
 
     def __init__(self, slab: "SlabExecutor", loop: LoopStmt):
         super().__init__(slab, loop)
-        #: P-parametric charge structure of the latest prepare (None
-        #: until prepared, or when no closed form applies)
-        self.p_charge: PColumnCharge | None = None
         self.jdims = self.nest.jdims
         self.array_symbols: dict[str, Any] = {}
         #: ref_id -> subscript form of the row (non-column) dimension
@@ -2010,29 +1868,11 @@ class ColumnPlan(_NestPlan):
         sim = self.sim
         if nj == 0:
             return _commit_nothing
-        jvec, pos, exec_col, cols_of = self._place(low, step, nj, env)
+        jvec, exec_col, cols_of = self._place(low, step, nj, env)
         li = self._bound(self.inner.low, env)
         hi = self._bound(self.inner.high, env)
         si = self._inner_step(env)
         nsteps = slab_trip_count(li, hi, si)
-        # the P-parametric charge structure of this takeover: valid
-        # whenever the executor position is BLOCK-distributed over the
-        # grid dimension and (by construction) affine in the column
-        # index, i.e. the per-rank column counts are slab_owned_trips
-        # evaluated at the concrete P
-        fmt = self.nest.pos_fmt
-        charge_form = None
-        if fmt.kind == "block" and fmt.procs == sim.grid.shape[0]:
-            charge_form = PColumnCharge(
-                extent=fmt.extent,
-                first=int(pos[0]),
-                stride=int(pos[1] - pos[0]) if nj > 1 else 0,
-                trips=nj,
-                unit_len=(
-                    len(self.pre) + nsteps * len(self.body) + len(self.post)
-                ),
-            )
-        self.p_charge = charge_form
         ctx = _ColCtx(self, jvec, env, exec_col, cols_of)
         with np.errstate(over="ignore", invalid="ignore"):
             for st in self.pre:
@@ -2054,23 +1894,9 @@ class ColumnPlan(_NestPlan):
                 ),
                 clocks.tape([st.dt for st in self.post]),
             ])
-            if charge_form is not None:
-                # per-rank column counts from the closed form in P
-                # (identical to the owner table's partition by the
-                # BLOCK ownership arithmetic)
-                procs = sim.grid.shape[0]
-                for r in cols_of:
-                    count = charge_form.columns(procs, r)
-                    if seq.size and count:
-                        clocks.charge_compute_tape(r, clocks.tile(seq, count))
-            else:
-                # no closed form (cyclic/irregular position): fall back
-                # to the concrete owner-table partition
+            if seq.size:
                 for r, cols in cols_of.items():
-                    if seq.size:
-                        clocks.charge_compute_tape(
-                            r, clocks.tile(seq, cols.size)
-                        )
+                    clocks.charge_compute_tape(r, clocks.tile(seq, cols.size))
             for name, (w, _v, written, joff) in ctx.tables.items():
                 if not written.any():
                     continue
@@ -2301,7 +2127,7 @@ class TriangularPlan(_NestPlan, _WriteRegions):
         sim = self.sim
         if nj == 0:
             return _commit_nothing
-        jvec, _pos, exec_col, cols_of = self._place(low, step, nj, env)
+        jvec, exec_col, cols_of = self._place(low, step, nj, env)
         # per-column inner bounds — the triangular part
         si = int(self._inner_step(env))
         jvar = {self.j: jvec}

@@ -37,39 +37,6 @@ def sequential_sum(start, dts: np.ndarray):
     return np.add.accumulate(buf, axis=0)[-1]
 
 
-def sequential_prefix_sum(start, dts: np.ndarray, steps) -> np.ndarray:
-    """Per-lane left-fold of a shared ``(max_steps, lanes)`` tape where
-    lane ``m`` only folds its first ``steps[m]`` entries.
-
-    This is the procs-lane charging trick: nests whose per-rank trip
-    counts are closed-form functions of P produce one shared charge
-    tape padded to the *longest* lane; accumulating once sequentially
-    and reading lane ``m`` at row ``steps[m]`` yields exactly the value
-    a dedicated ``steps[m]``-step scalar fold produces, because zero
-    padding after a lane's own steps never enters its prefix.
-
-    ``start`` is a float or ``(lanes,)`` vector, ``dts`` a
-    ``(max_steps, lanes)`` tape, ``steps`` a ``(lanes,)`` int vector
-    with ``0 <= steps[m] <= max_steps``; returns the ``(lanes,)``
-    per-lane fold results."""
-    dts = np.asarray(dts, dtype=np.float64)
-    if dts.ndim != 2:
-        raise ValueError(f"dts must be a (steps, lanes) tape, got {dts.shape}")
-    lanes = dts.shape[1]
-    steps = np.asarray(steps, dtype=np.int64)
-    if steps.shape != (lanes,):
-        raise ValueError(
-            f"steps must give one count per lane: {steps.shape} vs {lanes}"
-        )
-    if np.any(steps < 0) or np.any(steps > dts.shape[0]):
-        raise ValueError("steps out of range for the tape")
-    buf = np.empty((dts.shape[0] + 1, lanes), dtype=np.float64)
-    buf[0] = start
-    buf[1:] = dts
-    acc = np.add.accumulate(buf, axis=0)
-    return acc[steps, np.arange(lanes)]
-
-
 @dataclass
 class TrafficStats:
     messages: int = 0
@@ -89,17 +56,6 @@ class TrafficStats:
             self.unexpected_fetches += 1
         else:
             self.per_event_fetches[key] = self.per_event_fetches.get(key, 0) + 1
-
-    def record_fetch_batch(self, key: tuple[int, int] | None, count: int) -> None:
-        """Exactly ``count`` single-element ``record_fetch`` calls."""
-        if count <= 0:
-            return
-        self.fetches += count
-        self.elements += count
-        if key is None:
-            self.unexpected_fetches += count
-        else:
-            self.per_event_fetches[key] = self.per_event_fetches.get(key, 0) + count
 
     def as_dict(self) -> dict:
         """JSON-serializable snapshot (tuple keys stringified), used by

@@ -4,7 +4,7 @@ service has built and measured.
 The content-addressed :class:`~repro.core.diskcache.CompileCache`
 already persists compiled programs, but it is write-only bookkeeping:
 a directory of opaque hashes.  The catalog layers provenance and
-reuse accounting on top, in three tables:
+reuse accounting on top, in two tables:
 
 * **artifacts** — one row per compiled-program pickle the service
   touched: catalog key (the cache's content address), source hash,
@@ -16,10 +16,11 @@ reuse accounting on top, in three tables:
   of its canonical stats, and two counters — ``evaluations`` (times
   the point was actually computed; the crash-recovery gates assert
   this stays 1) and ``reuses`` (times a later job was served the
-  stored record instead of recomputing);
-* **calibrations** — nest-cost calibration sets the service has seen
-  (path + fitted constants), so a catalog listing shows which
-  constants produced which results.
+  stored record instead of recomputing).
+
+A result's nest-cost calibration needs no table of its own: the
+constants are part of its options closure (``nest_cost_constants``),
+hence of its point identity.
 
 ``repro catalog ls|show|gc`` is the CLI surface; :meth:`Catalog.gc`
 drops index rows whose cache files vanished and (optionally) ages out
@@ -75,11 +76,6 @@ CREATE TABLE IF NOT EXISTS results (
   evaluations INTEGER NOT NULL DEFAULT 1,
   reuses INTEGER NOT NULL DEFAULT 0
 );
-CREATE TABLE IF NOT EXISTS calibrations (
-  path TEXT PRIMARY KEY,
-  constants TEXT NOT NULL,
-  recorded_at REAL NOT NULL
-);
 CREATE INDEX IF NOT EXISTS idx_results_program ON results (program, mode);
 CREATE INDEX IF NOT EXISTS idx_artifacts_program ON artifacts (program);
 """
@@ -114,8 +110,8 @@ def canonical_sha(result: SweepResult) -> str | None:
 
 
 class Catalog:
-    """Sqlite index over compiled artifacts, point results, and
-    calibration sets (see module doc)."""
+    """Sqlite index over compiled artifacts and point results (see
+    module doc)."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = path
@@ -204,18 +200,6 @@ class Catalog:
             )
         return key
 
-    def record_calibration(
-        self, path: str | os.PathLike, constants: dict[str, float]
-    ) -> None:
-        with transaction(self.conn):
-            self.conn.execute(
-                "INSERT INTO calibrations (path, constants, recorded_at)"
-                " VALUES (?, ?, ?) ON CONFLICT(path) DO UPDATE SET"
-                " constants = excluded.constants,"
-                " recorded_at = excluded.recorded_at",
-                (str(path), json.dumps(constants, sort_keys=True), time.time()),
-            )
-
     # -- lookup / reuse ----------------------------------------------------
 
     def lookup(self, job: SweepJob) -> SweepResult | None:
@@ -255,9 +239,9 @@ class Catalog:
     # -- querying ----------------------------------------------------------
 
     def ls(self, kind: str = "all") -> list[dict[str, Any]]:
-        """Flat rows for ``repro catalog ls``: artifacts, results,
-        calibrations, or all three (tagged by ``table``)."""
-        if kind not in ("all", "artifacts", "results", "calibrations"):
+        """Flat rows for ``repro catalog ls``: artifacts, results, or
+        both (tagged by ``table``)."""
+        if kind not in ("all", "artifacts", "results"):
             raise ValueError(f"unknown catalog kind {kind!r}")
         rows: list[dict[str, Any]] = []
         if kind in ("all", "artifacts"):
@@ -275,14 +259,6 @@ class Catalog:
             ):
                 record = dict(row)
                 record["table"] = "results"
-                rows.append(record)
-        if kind in ("all", "calibrations"):
-            for row in self.conn.execute(
-                "SELECT * FROM calibrations ORDER BY recorded_at"
-            ):
-                record = dict(row)
-                record["constants"] = json.loads(record["constants"])
-                record["table"] = "calibrations"
                 rows.append(record)
         return rows
 
@@ -366,9 +342,6 @@ class Catalog:
             "SELECT COUNT(*) AS n, COALESCE(SUM(evaluations), 0) AS evals,"
             " COALESCE(SUM(reuses), 0) AS reuses FROM results"
         ).fetchone()
-        calibrations = self.conn.execute(
-            "SELECT COUNT(*) AS n FROM calibrations"
-        ).fetchone()["n"]
         return {
             "path": str(self.path),
             "schema": CATALOG_SCHEMA_VERSION,
@@ -382,5 +355,4 @@ class Catalog:
                 "evaluations": results["evals"],
                 "reuses": results["reuses"],
             },
-            "calibrations": calibrations,
         }

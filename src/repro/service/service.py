@@ -67,12 +67,14 @@ BACKENDS = ("inline", "pool")
 def _backend_workers(backend: str | None) -> int:
     """The worker count a backend name stands for: None/``"inline"``
     → 0 (serial in the serving process), ``"pool"``/``"pool:N"`` → a
-    pool of 2/N workers."""
+    pool of 2/N workers, N a positive integer."""
     name, _, arg = (backend or "inline").partition(":")
     if name == "inline" and not arg:
         return 0
-    if name == "pool":
-        return int(arg) if arg else 2
+    if name == "pool" and not arg:
+        return 2
+    if name == "pool" and arg.isdecimal() and int(arg) >= 1:
+        return int(arg)
     raise ValueError(
         f"unknown worker backend {backend!r}; built in: {BACKENDS} "
         f"('pool:N' sizes the pool)"

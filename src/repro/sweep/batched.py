@@ -8,8 +8,7 @@ A sweep grid typically varies three kinds of axis:
 * **processor count** — this changes the compiled program (and hence
   the instruction stream), but the per-procs runs of one program are
   the *same experiment* at different widths: they become *procs
-  sub-groups* of one batch, sharing planning, compile dedup, and
-  fused procs-lane extraction;
+  sub-groups* of one batch, sharing planning and compile dedup;
 * **other compiler options / measurement mode** — these change the
   experiment itself; compile-mode points never batch at all.
 
@@ -20,10 +19,9 @@ batch, lanes split into procs sub-groups — runs sharing one compiled
 program — whose lanes differ only in ``options.machine``.
 :func:`run_batched` compiles each sub-group once (procs values that
 resolve to the same processor grid share even that compile), evaluates
-all its machine lanes in a single lane-vector simulation, adopts every
-sub-group's clocks into one batch-wide
-:class:`~repro.machine.batchexec.ProcsVectorClocks` laid out over the
-widest rank count, and stitches per-lane
+all its machine lanes in a single lane-vector simulation at that
+sub-group's own processor count, extracts each lane's payload from that
+sub-simulation, and stitches per-lane
 :class:`~repro.sweep.spec.SweepResult` records back in grid order —
 byte-identical to what a dedicated per-point run would have produced.
 Estimate-mode batches whose sub-groups share an estimate signature
@@ -35,9 +33,8 @@ Jobs that cannot batch (compile-mode points) are returned to the
 caller untouched; :func:`repro.sweep.engine.run_sweep` sends them down
 the ordinary pool path.  The degrade ladder
 never loses a grid point: a sub-group whose compile or vectorized
-evaluation fails runs its lanes per-lane in-process, and a fused
-extraction that fails degrades to per-sub-group extraction (which is
-byte-identical — adoption copies clock columns verbatim).
+evaluation fails runs its lanes per-lane in-process, and a failure
+anywhere else in a batch runs whatever it has not emitted per-lane.
 """
 
 from __future__ import annotations
@@ -224,7 +221,7 @@ def compile_with_memo(
 def _simulate_lanes(batch: Batch, compiled: CompiledProgram):
     """One lane-vector simulation of a procs sub-group: every machine
     lane charged in a single tier="auto" run.  Returns the sim; payload
-    extraction happens at the batch level (fused across sub-groups)."""
+    extraction happens once the batch's sub-groups are all evaluated."""
     from ..ir.build import make_inputs
     from ..machine.batchexec import VectorMachine
     from ..machine.simulator import simulate
@@ -234,11 +231,10 @@ def _simulate_lanes(batch: Batch, compiled: CompiledProgram):
     return simulate(compiled, inputs, machine=machine, tier="auto")
 
 
-def _simulate_payloads(sim, compiled: CompiledProgram, clocks, lanes) -> list[dict]:
-    """Per-lane simulate-mode payloads: the clock-derived fields come
-    from lane ``m`` of ``clocks`` (the sub-run's own lane clocks, or
-    the batch's fused procs-lane clocks — identical by adoption), the
-    rest from the sub-simulation they all share."""
+def _simulate_payloads(sim, compiled: CompiledProgram) -> list[dict]:
+    """Per-lane simulate-mode payloads of one sub-simulation: the
+    clock-derived fields come from lane ``m`` of its lane clocks, the
+    rest from the run they all share."""
     base = sim.canonical_stats()  # lane-vector "clocks", shared rest
     shared = dict(
         slab_coverage=round(sim.slab_coverage, 6),
@@ -247,8 +243,9 @@ def _simulate_payloads(sim, compiled: CompiledProgram, clocks, lanes) -> list[di
         unexpected_fetches=sim.stats.unexpected_fetches,
         grid_size=compiled.grid.size,
     )
+    clocks = sim.clocks
     payloads = []
-    for lane in lanes:
+    for lane in range(clocks.lanes):
         stats = {
             "procs": base["procs"],
             "clocks": clocks.lane_snapshot(lane),
@@ -262,34 +259,6 @@ def _simulate_payloads(sim, compiled: CompiledProgram, clocks, lanes) -> list[di
                 canonical_stats=stats,
             )
         )
-    return payloads
-
-
-def _fuse_simulations(groups) -> dict[int, dict]:
-    """Fuse-at-extract: adopt every sub-simulation's lane clocks into
-    one batch-wide :class:`ProcsVectorClocks` laid out over the widest
-    rank count, then extract each batch lane's payload from the fused
-    structure.  ``groups`` holds ``(lanes, sub, compiled, sim)`` per
-    procs sub-group; returns payloads keyed by batch lane position."""
-    from ..machine.batchexec import ProcsVectorClocks, ProcsVectorMachine
-
-    models, procs, shapes = [], [], []
-    for lanes, sub, compiled, _sim in groups:
-        models.extend(j.options.machine for j in sub.jobs)
-        procs.extend([compiled.grid.size] * len(lanes))
-        shapes.extend([compiled.grid.shape] * len(lanes))
-    fused = ProcsVectorClocks(
-        ProcsVectorMachine(models, procs, grid_shapes=shapes)
-    )
-    payloads: dict[int, dict] = {}
-    offset = 0
-    for lanes, _sub, compiled, sim in groups:
-        fused.adopt(offset, sim.clocks)
-        extracted = _simulate_payloads(
-            sim, compiled, fused, range(offset, offset + len(lanes))
-        )
-        payloads.update(zip(lanes, extracted))
-        offset += len(lanes)
     return payloads
 
 
@@ -369,7 +338,7 @@ def run_batched(
     index (``on_result`` gets each with that index as it lands).  A
     procs sub-group whose compile or vectorized evaluation raises falls
     back to per-lane in-process execution; nothing is ever dropped."""
-    from .engine import execute_job
+    from .engine import _count_result, execute_job
 
     def _inc(name: str, amount: float = 1) -> None:
         if metrics is not None:
@@ -382,11 +351,7 @@ def run_batched(
 
     def _emit(index: int, result: SweepResult) -> None:
         results[index] = result
-        _inc("sweep.jobs_ok" if result.ok else "sweep.jobs_failed")
-        if result.cache_hit:
-            _inc("sweep.cache_hits")
-        if result.compile_dedup:
-            _inc("sweep.compile_dedup")
+        _count_result(metrics, result)
         if on_result is not None:
             on_result(index, result)
 
@@ -454,25 +419,10 @@ def run_batched(
                             cache_hit and pos == 0,
                             deduped or pos > 0,
                         )
-                if evaluated and batch.jobs[0].mode == "simulate":
-                    try:
-                        payloads = _fuse_simulations(evaluated)
-                    except Exception:
-                        # byte-identical either way: adoption copies
-                        # columns, so per-sub-group extraction is a
-                        # safe rung below the fused one
-                        reason = _active_failure("fuse")
-                        payloads = {}
-                        for lanes, _sub, compiled, sim in evaluated:
-                            extracted = _simulate_payloads(
-                                sim, compiled, sim.clocks, range(len(lanes))
-                            )
-                            payloads.update(zip(lanes, extracted))
-                            reasons.update((lane, reason) for lane in lanes)
-                        _inc(
-                            "sweep.lane_fallback[reason=fuse]",
-                            len(reasons),
-                        )
+                if batch.jobs[0].mode == "simulate":
+                    for lanes, _sub, compiled, sim in evaluated:
+                        extracted = _simulate_payloads(sim, compiled)
+                        payloads.update(zip(lanes, extracted))
                 elif evaluated:
                     payloads = _try_estimates(
                         evaluated, flags, _fall_back, reasons, _inc

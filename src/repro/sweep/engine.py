@@ -132,6 +132,19 @@ def execute_job(
 # ---------------------------------------------------------------------------
 
 
+def _count_result(metrics: Metrics | None, result: SweepResult) -> None:
+    """Bump the per-point sweep counters for one finished ``result`` —
+    the one place every execution path (serial, pool, batched) counts
+    ``sweep.jobs_ok``/``jobs_failed``/``cache_hits``/``compile_dedup``."""
+    if metrics is None:
+        return
+    metrics.inc("sweep.jobs_ok" if result.ok else "sweep.jobs_failed")
+    if result.cache_hit:
+        metrics.inc("sweep.cache_hits")
+    if result.compile_dedup:
+        metrics.inc("sweep.compile_dedup")
+
+
 def _worker_main(conn, parent_end, cache_root: str | None) -> None:
     """One pool worker: executes one job at a time until sent None, or
     until the parent dies (even by ``os._exit``: orphans never linger).
@@ -223,11 +236,7 @@ class _Supervisor:
 
     def _record(self, index: int, result: SweepResult) -> None:
         self.results[index] = result
-        self._inc("sweep.jobs_ok" if result.ok else "sweep.jobs_failed")
-        if result.cache_hit:
-            self._inc("sweep.cache_hits")
-        if result.compile_dedup:
-            self._inc("sweep.compile_dedup")
+        _count_result(self.metrics, result)
         self.tracer.instant(
             "sweep.job",
             cat="sweep",
@@ -322,14 +331,7 @@ def _run_job_list(
                 result = execute_job(
                     job, manager=shared, cache=cache, memo=memo
                 )
-            if metrics is not None:
-                metrics.inc(
-                    "sweep.jobs_ok" if result.ok else "sweep.jobs_failed"
-                )
-                if result.cache_hit:
-                    metrics.inc("sweep.cache_hits")
-                if result.compile_dedup:
-                    metrics.inc("sweep.compile_dedup")
+            _count_result(metrics, result)
             on_result(index, result)
             results.append(result)
         return results
@@ -376,8 +378,8 @@ def run_sweep(
     (:mod:`repro.sweep.batched`) — points differing only in machine
     parameters share one simulation, points differing only in the
     processor count fuse into procs sub-groups of one batch (sharing
-    compiles where the resolved grid agrees, and one fused procs-lane
-    extraction/estimate), repeated compiles dedupe — with everything
+    compiles where the resolved grid agrees, and one procs-lane
+    estimate), repeated compiles dedupe — with everything
     non-batchable falling back to the pool; ``"auto"`` (default) uses
     the batched path exactly when some batch has two or more lanes to
     fuse.  Results are identical across modes (the parity suite

@@ -75,6 +75,18 @@ class TestKeys:
         assert pipeline_fingerprint() == pipeline_fingerprint()
         assert pipeline_fingerprint(("grid",)) != pipeline_fingerprint(("ssa",))
 
+    def test_package_version_matches_pyproject(self):
+        # the fingerprint carries repro.__version__; the packaged
+        # version must name the same release
+        import pathlib
+
+        import repro
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+        pyproject = pathlib.Path(__file__).parents[2] / "pyproject.toml"
+        meta = tomllib.loads(pyproject.read_text())
+        assert meta["project"]["version"] == repro.__version__
+
 
 class TestRoundTrip:
     def test_miss_then_hit(self, tmp_path):

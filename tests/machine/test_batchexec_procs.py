@@ -1,26 +1,16 @@
-"""Unit tests for the procs-lane machine and clocks.
+"""Unit tests for the procs-lane machine.
 
-:class:`ProcsVectorMachine` carries a per-lane processor count on top
-of the machine-parameter lanes; :class:`ProcsVectorClocks` lays per-rank
-clock state out over the *maximum* rank count with validity masks, so a
-charge addressed to rank ``r`` advances exactly the lanes where rank
-``r`` exists.  The contract under test everywhere: each lane is bitwise
-what a dedicated scalar run with that lane's model and rank count would
-produce."""
+:class:`ProcsVectorMachine` carries a per-lane processor count and grid
+shape on top of the machine-parameter lanes; the estimator prices a
+whole procs vector through it.  The contract under test: each lane is
+bitwise what the scalar model would charge at that lane's count."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from repro.machine.batchexec import (
-    ProcsVectorClocks,
-    ProcsVectorMachine,
-    VectorClocks,
-    VectorMachine,
-)
-from repro.machine.stats import Clocks, sequential_prefix_sum
+from repro.machine.batchexec import ProcsVectorMachine
 from repro.model import SP2
 
 FAST = dataclasses.replace(SP2, name="fast-net", alpha=5e-6, beta=1.0 / 300e6)
@@ -45,7 +35,6 @@ class TestProcsVectorMachine:
     def test_default_grid_shapes_are_1d(self):
         machine = ProcsVectorMachine(MODELS, procs=PROCS)
         assert machine.grid_shapes == ((1,), (2,), (4,))
-        assert machine.max_procs == 4
 
     def test_explicit_grid_shapes_kept(self):
         machine = ProcsVectorMachine(
@@ -55,18 +44,20 @@ class TestProcsVectorMachine:
 
     @pytest.mark.parametrize("elements", [1, 10, 4096])
     def test_lane_collectives_match_per_lane_scalar_models(self, elements):
+        # the estimator's path: collectives priced at the per-lane counts
         machine = ProcsVectorMachine(MODELS, procs=PROCS)
+        counts = machine.procs
         for lane, (model, procs) in enumerate(zip(MODELS, PROCS)):
-            assert machine.lane_broadcast_time(elements)[lane] == (
+            assert machine.broadcast_time(elements, counts)[lane] == (
                 model.broadcast_time(elements, procs)
             )
-            assert machine.lane_reduce_time(elements)[lane] == (
+            assert machine.reduce_time(elements, counts)[lane] == (
                 model.reduce_time(elements, procs)
             )
-            assert machine.lane_gather_time(elements)[lane] == (
+            assert machine.gather_time(elements, counts)[lane] == (
                 model.gather_time(elements, procs)
             )
-            assert machine.lane_alltoall_time(elements)[lane] == (
+            assert machine.alltoall_time(elements, counts)[lane] == (
                 model.alltoall_time(elements, procs)
             )
 
@@ -76,134 +67,3 @@ class TestProcsVectorMachine:
         got = machine.broadcast_time(16, spans)
         for lane, (model, span) in enumerate(zip(MODELS, spans)):
             assert got[lane] == model.broadcast_time(16, int(span))
-
-
-def _charge_script(clocks, machine, live_ranks):
-    """One mixed charge sequence; ``live_ranks`` restricts every op to
-    the ranks that exist (the scalar-replay filter) while the masked
-    vector clocks receive the unrestricted global addresses."""
-
-    def has(*ranks):
-        return all(r in live_ranks for r in ranks)
-
-    if has(0):
-        clocks.charge_compute(0, 12)
-    if has(1):
-        clocks.charge_compute(1, 7)
-    if has(3):
-        clocks.charge_compute(3, 30)
-    if has(0, 1):
-        clocks.charge_message(0, 1, 5)
-    if has(2, 3):
-        clocks.charge_message(2, 3, 7)
-    if has(0, 1):
-        clocks.charge_message_amortized(0, 1, 9, startup=True)
-        clocks.charge_message_amortized(0, 1, 9, startup=False)
-    members = [r for r in (0, 1, 2, 3) if r in live_ranks]
-    clocks.charge_collective(members, 4, "broadcast")
-    clocks.charge_collective(members, 2, "reduce")
-    pair = [r for r in (0, 1) if r in live_ranks]
-    clocks.charge_collective(pair, 3, "reduce")
-    if has(0):
-        dts = [machine.compute_time(f, 1) for f in (3, 5, 8)]
-        clocks.charge_compute_tape(0, clocks.tape(dts))
-
-
-class TestProcsVectorClocks:
-    def test_masked_charging_matches_scalar_replays(self):
-        machine = ProcsVectorMachine(MODELS, procs=PROCS)
-        vec = ProcsVectorClocks(machine)
-        # the vector clocks see the global addresses; masking must keep
-        # nonexistent ranks' lanes frozen
-        _charge_script(vec, machine, live_ranks=set(range(machine.max_procs)))
-        for lane, (model, procs) in enumerate(zip(MODELS, PROCS)):
-            scalar = Clocks(procs, model)
-            _charge_script(scalar, model, live_ranks=set(range(procs)))
-            assert vec.lane_snapshot(lane) == scalar.snapshot()
-            assert vec.lane_elapsed(lane) == scalar.elapsed
-
-    def test_snapshot_covers_only_the_lanes_ranks(self):
-        machine = ProcsVectorMachine(MODELS, procs=PROCS)
-        vec = ProcsVectorClocks(machine)
-        vec.charge_compute(0, 10)
-        for lane, procs in enumerate(PROCS):
-            snap = vec.lane_snapshot(lane)
-            assert len(snap["time"]) == procs
-            assert len(snap["compute_time"]) == procs
-
-    def test_charges_to_missing_ranks_freeze_small_lanes(self):
-        machine = ProcsVectorMachine(MODELS, procs=PROCS)
-        vec = ProcsVectorClocks(machine)
-        vec.charge_compute(2, 100)  # rank 2 exists only in the P=4 lane
-        vec.charge_message(2, 3, 11)
-        vec.charge_compute_tape(
-            3, vec.tape([machine.compute_time(4, 1)])
-        )
-        assert vec.lane_elapsed(0) == 0.0
-        assert vec.lane_elapsed(1) == 0.0
-        assert vec.lane_elapsed(2) > 0.0
-
-    def test_collective_span_is_per_lane(self):
-        machine = ProcsVectorMachine(MODELS, procs=PROCS)
-        vec = ProcsVectorClocks(machine)
-        vec.charge_collective([0, 1, 2, 3], 8, "broadcast")
-        # P=1 lane: span 1 -> scalar early-return, clocks untouched
-        assert vec.lane_elapsed(0) == 0.0
-        # P=2 lane: a 2-wide broadcast, not a 4-wide one
-        two = Clocks(2, FAST)
-        two.charge_collective([0, 1], 8, "broadcast")
-        assert vec.lane_snapshot(1) == two.snapshot()
-        four = Clocks(4, WAN)
-        four.charge_collective([0, 1, 2, 3], 8, "broadcast")
-        assert vec.lane_snapshot(2) == four.snapshot()
-
-    def test_adopt_copies_sub_run_columns(self):
-        machine = ProcsVectorMachine(MODELS, procs=(2, 2, 4))
-        vec = ProcsVectorClocks(machine)
-        # lanes 0-1: one 2-rank sub-simulation over two machine lanes
-        sub2 = VectorClocks(2, VectorMachine([SP2, FAST]))
-        sub2.charge_compute(0, 9)
-        sub2.charge_message(0, 1, 6)
-        # lane 2: a 4-rank single-lane sub-simulation
-        sub4 = VectorClocks(4, VectorMachine([WAN]))
-        sub4.charge_collective([0, 1, 2, 3], 5, "reduce")
-        vec.adopt(0, sub2)
-        vec.adopt(2, sub4)
-        assert vec.lane_snapshot(0) == sub2.lane_snapshot(0)
-        assert vec.lane_snapshot(1) == sub2.lane_snapshot(1)
-        assert vec.lane_snapshot(2) == sub4.lane_snapshot(0)
-        assert vec.lane_elapsed(2) == sub4.lane_elapsed(0)
-
-    def test_adopt_validates_rank_counts(self):
-        machine = ProcsVectorMachine(MODELS, procs=(2, 2, 4))
-        vec = ProcsVectorClocks(machine)
-        wrong = VectorClocks(4, VectorMachine([SP2, FAST]))
-        with pytest.raises(ValueError, match="declare"):
-            vec.adopt(0, wrong)
-
-
-class TestSequentialPrefixSum:
-    def test_matches_per_lane_scalar_folds(self):
-        rng = np.random.default_rng(5)
-        dts = rng.uniform(0.0, 1e-3, size=(9, 4))
-        steps = np.asarray([0, 3, 7, 9])
-        got = sequential_prefix_sum(0.125, dts, steps)
-        for lane, count in enumerate(steps):
-            acc = 0.125
-            for i in range(count):
-                acc += dts[i, lane]
-            assert got[lane] == acc  # bitwise: same addition sequence
-
-    def test_vector_start(self):
-        dts = np.ones((3, 2)) * 0.5
-        start = np.asarray([1.0, 2.0])
-        got = sequential_prefix_sum(start, dts, [1, 3])
-        assert got.tolist() == [1.5, 3.5]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="tape"):
-            sequential_prefix_sum(0.0, np.zeros(3), [1])
-        with pytest.raises(ValueError, match="one count per lane"):
-            sequential_prefix_sum(0.0, np.zeros((3, 2)), [1])
-        with pytest.raises(ValueError, match="out of range"):
-            sequential_prefix_sum(0.0, np.zeros((3, 2)), [1, 4])

@@ -1,9 +1,9 @@
 """Unit tests for the tier-3 slab engine (`repro.machine.slabexec`).
 
-Covers the static classifier (eligibility decisions on the paper
-benchmarks), report plumbing through the pass manager, and runtime
-behaviour: coverage, fallback, ghost-column fetch replay, and the
-concrete disjointness bails.
+Covers the trip-count form, the static classifier (eligibility
+decisions on the paper benchmarks), report plumbing through the pass
+manager, and runtime behaviour: coverage, fallback, ghost-column fetch
+replay, and the concrete disjointness bails.
 """
 
 import pickle
@@ -15,6 +15,7 @@ import pytest
 from repro.core import CompilerOptions, compile_source
 from repro.ir.build import make_inputs
 from repro.machine import simulate
+from repro.machine.slabexec import slab_trip_count
 from repro.obs import Metrics
 from repro.programs import dgefa_source, tomcatv_inputs, tomcatv_source
 
@@ -24,6 +25,21 @@ def _compile_tomcatv(n=12, procs=4):
         tomcatv_source(n=n, niter=1, procs=procs),
         CompilerOptions(num_procs=procs),
     )
+
+
+class TestTripCount:
+    @pytest.mark.parametrize(
+        "low,high,step,expect",
+        [(1, 10, 1, 10), (1, 10, 3, 4), (10, 1, 1, 0), (5, 5, 2, 1),
+         (10, 1, -2, 5)],
+    )
+    def test_trip_count_scalar(self, low, high, step, expect):
+        assert slab_trip_count(low, high, step) == expect
+
+    def test_trip_count_vector(self):
+        low = np.asarray([1, 1, 10])
+        got = slab_trip_count(low, 10, 1)
+        assert got.tolist() == [10, 10, 1]
 
 
 class TestClassifier:

@@ -173,12 +173,14 @@ class TestSessionSubmit:
 class TestBackends:
     def test_as_backend_forms(self, tmp_path):
         """A backend name only sets the evaluation pool's size."""
-        forms = {None: 0, "inline": 0, "pool": 2, "pool:3": 3}
+        forms = {None: 0, "inline": 0, "pool": 2, "pool:1": 1, "pool:3": 3}
         for backend, workers in forms.items():
             service = SweepService(tmp_path / "svc", backend=backend)
             assert service.workers == workers
             service.close()
-        for bad in ("cloud", "inline:2"):
+        # a pool size must be a positive integer: pool:0 and pool:-2
+        # must not quietly run inline, pool:x must not leak int()'s error
+        for bad in ("cloud", "inline:2", "pool:0", "pool:-2", "pool:x"):
             with pytest.raises(ValueError, match="unknown worker backend"):
                 SweepService(tmp_path / "svc", backend=bad)
 

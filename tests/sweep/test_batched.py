@@ -141,30 +141,6 @@ class TestFallback:
             "sweep.lane_fallback[reason=lane-eval]"
         ] == len(results)
 
-    def test_fuse_degrade_stays_batched_but_records_reason(
-        self, monkeypatch
-    ):
-        import repro.sweep.batched as batched_mod
-
-        def nope(evaluated):
-            raise ValueError("adoption refused")
-
-        monkeypatch.setattr(batched_mod, "_fuse_simulations", nope)
-        metrics = Metrics()
-        spec = _spec(procs=(2, 4), machines=(SP2,))
-        results = run_sweep(spec, workers=0, mode="batched", metrics=metrics)
-        assert [r.worker for r in results] == ["batched"] * len(results)
-        for result in results:
-            assert result.fallback_reason.startswith("fuse: ")
-            assert "ValueError: adoption refused" in result.fallback_reason
-        assert metrics.counters["sweep.lane_fallback[reason=fuse]"] == len(
-            results
-        )
-        # the degraded rung is byte-identical to the pool path
-        pool = run_sweep(spec, workers=0, mode="pool")
-        for p, b in zip(pool, results):
-            assert p.canonical_stats == b.canonical_stats
-
     def test_healthy_batched_run_has_no_fallback_reason(self):
         results = run_sweep(_spec(procs=(2,)), workers=0, mode="batched")
         for result in results:
